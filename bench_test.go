@@ -436,30 +436,26 @@ func BenchmarkAblationRichRepeaterLibrary(b *testing.B) {
 		fmt.Sprintf("3-size library: %d Pareto points (single-size default: compare BenchmarkTable2RepeaterInsertion)\n", pts))
 }
 
-// BenchmarkParallelOptimize measures the parallel-subtree mode. Gains
-// depend on topology shape: sibling subtrees run concurrently, so wide
-// shallow stars benefit while deep chains (where the expensive joins sit
-// near the root) see mostly synchronization overhead — compare the
-// Star/Chain variants.
-func BenchmarkParallelOptimize(b *testing.B) {
-	b.Run("star-serial", func(b *testing.B) { benchStar(b, false) })
-	b.Run("star-parallel", func(b *testing.B) { benchStar(b, true) })
-	b.Run("rand20-serial", func(b *testing.B) { benchRand20(b, false) })
-	b.Run("rand20-parallel", func(b *testing.B) { benchRand20(b, true) })
+// BenchmarkOptimizeShape times the DP on two topology shapes: a wide,
+// shallow star, whose joins all sit at one high-fanout hub, and a random
+// 20-pin net.
+func BenchmarkOptimizeShape(b *testing.B) {
+	b.Run("star", benchStar)
+	b.Run("rand20", benchRand20)
 }
 
-func benchRand20(b *testing.B, parallel bool) {
+func benchRand20(b *testing.B) {
 	loadBenchNets(b)
 	rt := benchNets.t20[0].RootAt(benchNets.t20[0].Terminals()[0])
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := core.Optimize(rt, benchNets.tech, core.Options{Repeaters: true, Parallel: parallel}); err != nil {
+		if _, err := core.Optimize(rt, benchNets.tech, core.Options{Repeaters: true}); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
-func benchStar(b *testing.B, parallel bool) {
+func benchStar(b *testing.B) {
 	// Eight 6 mm arms from a central hub: wide and shallow.
 	tr := topo.New()
 	hub := tr.AddSteiner(geom.Pt(0, 0))
@@ -474,7 +470,7 @@ func benchStar(b *testing.B, parallel bool) {
 	tech := buslib.Default()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := core.Optimize(rt, tech, core.Options{Repeaters: true, Parallel: parallel}); err != nil {
+		if _, err := core.Optimize(rt, tech, core.Options{Repeaters: true}); err != nil {
 			b.Fatal(err)
 		}
 	}

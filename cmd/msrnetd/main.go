@@ -51,7 +51,7 @@ import (
 func main() {
 	var (
 		listen     = flag.String("listen", ":8383", "serve /v1/jobs plus /metrics, /debug/vars, /debug/pprof and /healthz on this address")
-		workers    = flag.Int("workers", 0, "worker-pool size (0 = GOMAXPROCS); each worker runs one job at a time, composing with per-job \"parallel\" intra-net parallelism")
+		workers    = flag.Int("workers", 0, "worker-pool size (0 = GOMAXPROCS); each worker runs one job at a time")
 		queue      = flag.Int("queue", 0, "bounded job-queue depth (0 = 4×workers); full queue rejects with HTTP 429")
 		jobTimeout = flag.Duration("job-timeout", 30*time.Second, "per-job deadline (0 = none)")
 		cacheSize  = flag.Int("cache", 512, "LRU result-cache capacity in entries (0 = disable caching)")

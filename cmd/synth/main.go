@@ -19,7 +19,6 @@ import (
 	"msrnet/internal/ard"
 	"msrnet/internal/buslib"
 	"msrnet/internal/cliflags"
-	"msrnet/internal/dominance"
 	"msrnet/internal/geom"
 	"msrnet/internal/netio"
 	"msrnet/internal/ptree"
@@ -46,9 +45,6 @@ func main() {
 		fatal(err)
 	}
 	reg := run.Reg
-	if reg != nil {
-		dominance.SetObserver(reg)
-	}
 	defer func() {
 		if err := run.Close(); err != nil {
 			fatal(err)

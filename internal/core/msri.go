@@ -5,9 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"runtime"
 	"sort"
-	"sync"
 
 	"msrnet/internal/buslib"
 	"msrnet/internal/obs"
@@ -72,10 +70,6 @@ type Options struct {
 	// the (rare, but possible; see the paper's footnote 13) exponential
 	// growth of the PWL solution space on adversarial inputs.
 	MaxSolutions int
-	// Parallel evaluates independent sibling subtrees on separate
-	// goroutines (bounded by GOMAXPROCS). The result is identical to the
-	// serial run; only wall-clock time changes.
-	Parallel bool
 	// Obs, when non-nil, receives detailed instrumentation: the
 	// "msri/solve" phase span, per-node solution-set-size histograms
 	// before and after pruning, PWL segment-count histograms, and prune
@@ -120,7 +114,7 @@ type Options struct {
 }
 
 // Stats reports work done by the dynamic program. All counters are
-// deterministic: serial and parallel runs of the same input agree.
+// deterministic: repeated runs of the same input agree.
 type Stats struct {
 	SolutionsCreated int // total candidate solutions constructed
 	MaxSetSize       int // largest per-node solution set after pruning
@@ -181,25 +175,7 @@ func Optimize(rt *topo.Rooted, tech buslib.Tech, opt Options) (*Result, error) {
 	if opt.CoarseEps < 0 || math.IsNaN(opt.CoarseEps) || math.IsInf(opt.CoarseEps, 0) {
 		return nil, fmt.Errorf("core: CoarseEps %v must be a finite non-negative number", opt.CoarseEps)
 	}
-	d := &dp{rt: rt, tech: tech, opt: opt, ctx: opt.Context, tr: opt.Trace, tags: opt.TraceArgs}
-	if opt.Parallel {
-		d.sem = make(chan struct{}, runtime.GOMAXPROCS(0))
-	}
-	if opt.Profile {
-		d.lp = newLifeProf()
-	}
-	if opt.Obs != nil {
-		kind := opt.Pruner.String()
-		d.ins = instr{
-			solutions:  opt.Obs.Counter("core/solutions_created"),
-			pruneCalls: opt.Obs.Counter("core/prune/" + kind + "/calls"),
-			pruneDrops: opt.Obs.Counter("core/prune/" + kind + "/drops"),
-			preSize:    opt.Obs.Histogram("core/set_size/pre_prune", nil),
-			postSize:   opt.Obs.Histogram("core/set_size/post_prune", nil),
-			segs:       opt.Obs.Histogram("core/pwl_segments", nil),
-			maxSet:     opt.Obs.Gauge("core/max_set_size"),
-		}
-	}
+	d := &dp{rt: rt, tech: tech, opt: opt, ev: newSink(t, opt)}
 	span := obs.Start(opt.Obs, "msri/solve")
 	defer span.End()
 	// Root: single child (root is a leaf terminal).
@@ -209,86 +185,26 @@ func Optimize(rt *topo.Rooted, tech buslib.Tech, opt Options) (*Result, error) {
 	}
 	c := children[0]
 	childSet := d.solve(c)
-	if err := d.getErr(); err != nil {
-		return nil, err
+	if d.err != nil {
+		return nil, d.err
 	}
 	final := d.augment(childSet, rt.ParentEdge[c], rt.Root)
 	suite := d.rootSolutions(final)
 	if len(suite) == 0 {
 		return nil, fmt.Errorf("core: no feasible solution (all domains pruned)")
 	}
-	if d.lp != nil {
-		d.lp.final(rt.Root, len(final))
-		for _, rs := range suite {
-			d.lp.survive(rs.sol)
-		}
-	}
-	return &Result{Suite: suite, Stats: d.stats, Profile: d.lp.profile()}, nil
+	return &Result{Suite: suite, Stats: d.ev.stats, Profile: d.ev.finish(rt.Root, len(final), suite)}, nil
 }
 
 // solve computes the pruned solution set for the subtree rooted at v.
-// In parallel mode, sibling subtrees of a branch node are evaluated on
-// separate goroutines; results are combined in deterministic child order
-// so serial and parallel runs produce identical suites. With a tracer
-// installed, every node contributes one timeline slice whose duration
-// covers its whole subtree (so the trace nests like the recursion) and
-// whose args carry the quantities Tables I–IV are governed by: the
-// final solution-set size and the largest PWL segment count in the set.
+// With a tracer installed, every node contributes one timeline slice
+// whose duration covers its whole subtree, so the trace nests like the
+// recursion.
 func (d *dp) solve(v int) []*Solution {
-	if d.tr == nil {
-		out := d.solveNode(v)
-		d.noteNode(v, len(out))
-		return out
-	}
-	rg := d.tr.Begin(nodeEventName(d.rt.Tree.Node(v).Kind), "core")
+	rg := d.ev.enter(v)
 	out := d.solveNode(v)
-	d.noteNode(v, len(out))
-	rg.End(d.targs(trace.I("node", v), trace.I("set", len(out)), trace.I("segs", maxSegsOf(out)))...)
+	d.ev.done(rg, v, out)
 	return out
-}
-
-// targs appends the run's identity tags (Options.TraceArgs) to an
-// event's own args. Trace-only, so the append cost is paid only with a
-// live tracer.
-func (d *dp) targs(args ...trace.Arg) []trace.Arg {
-	return append(args, d.tags...)
-}
-
-// noteNode records one completed subtree solve and its final set size
-// — the per-node candidate-count profile the explain reports surface.
-func (d *dp) noteNode(v, setSize int) {
-	d.mu.Lock()
-	d.stats.NodesVisited++
-	d.stats.SetSizeSum += setSize
-	d.mu.Unlock()
-	d.lp.final(v, setSize)
-}
-
-// nodeEventName maps a topology node kind to its trace slice name.
-func nodeEventName(k topo.Kind) string {
-	switch k {
-	case topo.Terminal:
-		return "dp/leaf"
-	case topo.Insertion:
-		return "dp/insertion"
-	default:
-		return "dp/steiner"
-	}
-}
-
-// maxSegsOf returns the largest PWL segment count (over A and D) in the
-// set — trace-only, so the cost is paid only with a live tracer.
-func maxSegsOf(sols []*Solution) int {
-	m := 0
-	for _, s := range sols {
-		if n := s.A.NumSegs(); n > m {
-			m = n
-		}
-		if n := s.D.NumSegs(); n > m {
-			m = n
-		}
-	}
-	return m
 }
 
 func (d *dp) solveNode(v int) []*Solution {
@@ -311,31 +227,10 @@ func (d *dp) solveNode(v int) []*Solution {
 		}}
 	}
 	lifted := make([][]*Solution, len(children))
-	if d.opt.Parallel && len(children) > 1 {
-		var wg sync.WaitGroup
-		for i, c := range children {
-			wg.Add(1)
-			go func(i, c int) {
-				defer wg.Done()
-				// Soft bound: acquire a slot when available; when the
-				// semaphore is full (deep nesting) proceed anyway rather
-				// than risk deadlock — the oversubscription is bounded by
-				// the tree's branching.
-				select {
-				case d.sem <- struct{}{}:
-					defer func() { <-d.sem }()
-				default:
-				}
-				lifted[i] = d.augment(d.solve(c), d.rt.ParentEdge[c], v)
-			}(i, c)
-		}
-		wg.Wait()
-	} else {
-		for i, c := range children {
-			lifted[i] = d.augment(d.solve(c), d.rt.ParentEdge[c], v)
-		}
+	for i, c := range children {
+		lifted[i] = d.augment(d.solve(c), d.rt.ParentEdge[c], v)
 	}
-	if d.getErr() != nil {
+	if d.err != nil {
 		return nil
 	}
 	cur := lifted[0]
@@ -348,50 +243,13 @@ func (d *dp) solveNode(v int) []*Solution {
 	return cur
 }
 
-// dp carries per-run state. The stats and error fields are shared across
-// subtree goroutines in parallel mode and guarded by mu.
+// dp carries per-run state: the walk is serial, so nothing is shared.
 type dp struct {
 	rt   *topo.Rooted
 	tech buslib.Tech
 	opt  Options
-	ctx  context.Context // nil disables deadline polling
-	ins  instr
-	tr   *trace.Tracer
-	tags []trace.Arg // identity args appended to every trace event
-	lp   *lifeProf   // candidate-lifecycle collector; nil unless Options.Profile
-
-	mu    sync.Mutex
-	stats Stats
-	err   error
-	sem   chan struct{} // bounds concurrent subtree goroutines
-}
-
-// instr holds the metric handles resolved once per run, so the hot path
-// pays only nil-safe atomic updates (or nothing, when Options.Obs is
-// nil and every handle stays nil).
-type instr struct {
-	solutions  *obs.Counter
-	pruneCalls *obs.Counter
-	pruneDrops *obs.Counter
-	preSize    *obs.Histogram
-	postSize   *obs.Histogram
-	segs       *obs.Histogram
-	maxSet     *obs.Gauge
-}
-
-// setErr records the first error.
-func (d *dp) setErr(err error) {
-	d.mu.Lock()
-	if d.err == nil {
-		d.err = err
-	}
-	d.mu.Unlock()
-}
-
-func (d *dp) getErr() error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.err
+	ev   sink
+	err  error // first error; the walk unwinds once it is set
 }
 
 // aborted polls the run's context (the periodic deadline check of the
@@ -399,132 +257,37 @@ func (d *dp) getErr() error {
 // node visit and every prune call — the two places where the remaining
 // work between checks is bounded by a single set operation.
 func (d *dp) aborted() bool {
-	if d.ctx != nil {
-		if err := d.ctx.Err(); err != nil {
-			d.setErr(fmt.Errorf("core: optimization aborted: %w", err))
-			return true
+	if d.err == nil && d.opt.Context != nil {
+		if err := d.opt.Context.Err(); err != nil {
+			d.err = fmt.Errorf("core: optimization aborted: %w", err)
 		}
 	}
-	return d.getErr() != nil
-}
-
-func (d *dp) note(sols []*Solution) {
-	d.mu.Lock()
-	d.stats.SolutionsCreated += len(sols)
-	for _, s := range sols {
-		if n := s.A.NumSegs(); n > d.stats.MaxSegs {
-			d.stats.MaxSegs = n
-		}
-		if n := s.D.NumSegs(); n > d.stats.MaxSegs {
-			d.stats.MaxSegs = n
-		}
-	}
-	d.mu.Unlock()
-	if d.ins.segs != nil {
-		d.ins.solutions.Add(int64(len(sols)))
-		for _, s := range sols {
-			d.ins.segs.ObserveInt(s.A.NumSegs())
-			d.ins.segs.ObserveInt(s.D.NumSegs())
-		}
-	}
-}
-
-// noteSetSize records a finished per-node solution set that did not pass
-// through prune (already-pruned sets survive Augment unchanged, and a
-// plain leaf is a one-element set), keeping MaxSetSize consistent across
-// every construction path. v is the node the set belongs to, for the
-// profiling wavefront; the update sites of MaxSetSize (here and in
-// prune) are exactly the emitters of dp/wavefront instants, so the
-// traced wavefront maxima reconcile with Stats.MaxSetSize.
-func (d *dp) noteSetSize(v, n int) {
-	d.mu.Lock()
-	if n > d.stats.MaxSetSize {
-		d.stats.MaxSetSize = n
-	}
-	d.mu.Unlock()
-	d.ins.maxSet.SetMax(int64(n))
-	if d.lp != nil && d.tr != nil {
-		d.tr.Instant("dp/wavefront", "core", d.targs(trace.I("node", v), trace.I("set", n))...)
-	}
-}
-
-// born stamps a freshly constructed candidate batch with its birth
-// site. One nil check when profiling is off.
-func (d *dp) born(sols []*Solution, class string, node int) {
-	if d.lp == nil {
-		return
-	}
-	d.lp.born(sols, class, node, waveKind(d.rt.Tree.Node(node).Kind))
-}
-
-// waveKind names a node kind for the wavefront summary.
-func waveKind(k topo.Kind) string {
-	switch k {
-	case topo.Terminal:
-		return "leaf"
-	case topo.Insertion:
-		return "insertion"
-	default:
-		return "steiner"
-	}
+	return d.err != nil
 }
 
 // prune runs the configured MFS pruner over sols. The site labels the
 // dominance rule's call point ("drivers", "wire_widths", "join",
 // "repeater") for the Stats.PruneSites breakdown and the dp/prune
-// trace slice; v is the topology node being pruned, for the profiling
-// wavefront.
+// trace slice; v is the topology node being pruned.
 func (d *dp) prune(sols []*Solution, site string, v int) []*Solution {
 	if d.aborted() {
 		return nil
 	}
-	rg := d.tr.Begin("dp/prune", "core")
+	rg := d.ev.tr.Begin("dp/prune", "core")
 	var out []*Solution
 	switch d.opt.Pruner {
 	case PruneNaive:
-		out = pruneNaive(sols, d.opt.CoarseEps, d.lp)
+		out = pruneNaive(sols, d.opt.CoarseEps, d.ev.prof)
 		sortSolutions(out)
 	case PruneOff:
 		out = sols
 	default:
-		out = pruneDivide(sols, d.opt.CoarseEps, d.lp)
+		out = pruneDivide(sols, d.opt.CoarseEps, d.ev.prof)
 	}
-	drops := len(sols) - len(out)
-	if d.lp != nil {
-		d.lp.survivedPrune(out)
-		d.lp.died(v, drops)
-		if d.tr != nil {
-			d.tr.Instant("dp/wavefront", "core", d.targs(trace.I("node", v), trace.I("set", len(out)))...)
-		}
-	}
-	d.mu.Lock()
-	d.stats.PruneCalls++
-	d.stats.Dropped += drops
-	if d.stats.PruneSites == nil {
-		d.stats.PruneSites = map[string]PruneSiteStats{}
-	}
-	ps := d.stats.PruneSites[site]
-	ps.Calls++
-	ps.Drops += drops
-	d.stats.PruneSites[site] = ps
-	if len(out) > d.stats.MaxSetSize {
-		d.stats.MaxSetSize = len(out)
-	}
+	d.ev.pruned(rg, site, v, len(sols), out)
 	if d.opt.MaxSolutions > 0 && len(out) > d.opt.MaxSolutions && d.err == nil {
 		d.err = fmt.Errorf("core: solution set grew to %d (limit %d); see Options.MaxSolutions",
 			len(out), d.opt.MaxSolutions)
-	}
-	d.mu.Unlock()
-	if d.ins.pruneCalls != nil {
-		d.ins.pruneCalls.Inc()
-		d.ins.pruneDrops.Add(int64(drops))
-		d.ins.preSize.ObserveInt(len(sols))
-		d.ins.postSize.ObserveInt(len(out))
-		d.ins.maxSet.SetMax(int64(len(out)))
-	}
-	if d.tr != nil {
-		rg.End(d.targs(trace.S("site", site), trace.I("pre", len(sols)),
-			trace.I("post", len(out)), trace.I("drops", drops))...)
 	}
 	return out
 }
@@ -553,17 +316,15 @@ func (d *dp) leafSolutions(v int) []*Solution {
 	}
 	if !d.opt.SizeDrivers || !term.IsSource {
 		out := []*Solution{mk(0, term.Rout, term.DriverIntrinsic, nil)}
-		d.note(out)
-		d.born(out, ClassDrivers, v)
-		d.noteSetSize(v, len(out))
+		d.ev.created(out, 0, ClassDrivers, v, 0)
+		d.ev.formed(v, len(out))
 		return out
 	}
 	out := make([]*Solution, 0, len(d.tech.Drivers))
 	for _, drv := range d.tech.Drivers {
 		out = append(out, mk(drv.Cost, drv.Rout, drv.Intrinsic, &drvRec{node: v, driver: drv}))
 	}
-	d.note(out)
-	d.born(out, ClassDrivers, v)
+	d.ev.created(out, 0, ClassDrivers, v, 0)
 	return d.prune(out, "drivers", v)
 }
 
@@ -605,13 +366,12 @@ func (d *dp) augment(sols []*Solution, eid, v int) []*Solution {
 			out = append(out, ns)
 		}
 	}
-	d.note(out)
 	if len(widths) > 1 {
-		d.born(out, ClassWireWidths, v)
+		d.ev.created(out, 0, ClassWireWidths, v, 0)
 		return d.prune(out, "wire_widths", v)
 	}
-	d.born(out, ClassWire, v)
-	d.noteSetSize(v, len(out))
+	d.ev.created(out, 0, ClassWire, v, 0)
+	d.ev.formed(v, len(out))
 	return out
 }
 
@@ -654,11 +414,7 @@ func (d *dp) joinSets(s1, s2 []*Solution, v int) []*Solution {
 			})
 		}
 	}
-	d.note(out)
-	d.born(out, ClassJoin, v)
-	if d.lp != nil {
-		d.lp.joins(int64(len(s1)) * int64(len(s2)))
-	}
+	d.ev.created(out, 0, ClassJoin, v, int64(len(s1))*int64(len(s2)))
 	return out
 }
 
@@ -716,10 +472,9 @@ func (d *dp) repeaterSolutions(sols []*Solution, v int) []*Solution {
 			}
 		}
 	}
-	d.note(out)
 	// Only the repeater-capped candidates are new births; out[:len(sols)]
 	// passes the already-stamped unbuffered set through to the prune.
-	d.born(out[len(sols):], ClassRepeater, v)
+	d.ev.created(out, len(sols), ClassRepeater, v, 0)
 	return out
 }
 

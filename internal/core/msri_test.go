@@ -4,7 +4,6 @@ import (
 	"errors"
 	"math"
 	"math/rand"
-	"reflect"
 	"testing"
 
 	"msrnet/internal/ard"
@@ -474,47 +473,6 @@ func TestPruneOffStillOptimal(t *testing.T) {
 			t.Fatal(err)
 		}
 		frontiersEqual(t, "pruneoff", a.Suite, points(b.Suite))
-	}
-}
-
-// TestParallelMatchesSerial: parallel subtree evaluation must produce an
-// identical suite to the serial run (deterministic combination order).
-func TestParallelMatchesSerial(t *testing.T) {
-	r := rand.New(rand.NewSource(1015))
-	for trial := 0; trial < 15; trial++ {
-		cfg := testnet.DefaultConfig()
-		cfg.Backbone = 3 + r.Intn(6)
-		tr := testnet.RandTree(r, cfg)
-		tech := testnet.RandTech(r, 2, 0)
-		rt := tr.RootAt(testnet.RootTerminal(tr))
-		serial, err := core.Optimize(rt, tech, core.Options{Repeaters: true, Profile: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		par, err := core.Optimize(rt, tech, core.Options{Repeaters: true, Parallel: true, Profile: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(serial.Suite) != len(par.Suite) {
-			t.Fatalf("trial %d: suite sizes differ: %d vs %d", trial, len(serial.Suite), len(par.Suite))
-		}
-		for i := range serial.Suite {
-			if serial.Suite[i].Cost != par.Suite[i].Cost || serial.Suite[i].ARD != par.Suite[i].ARD {
-				t.Fatalf("trial %d: point %d differs: (%g,%g) vs (%g,%g)", trial, i,
-					serial.Suite[i].Cost, serial.Suite[i].ARD, par.Suite[i].Cost, par.Suite[i].ARD)
-			}
-		}
-		// The full stats — including the per-site PruneSites breakdown —
-		// must merge identically regardless of goroutine interleaving.
-		if !reflect.DeepEqual(serial.Stats, par.Stats) {
-			t.Fatalf("trial %d: stats differ: %+v vs %+v", trial, serial.Stats, par.Stats)
-		}
-		// And so must the candidate-lifecycle profile: every aggregation
-		// is an order-independent sum.
-		if !reflect.DeepEqual(serial.Profile, par.Profile) {
-			t.Fatalf("trial %d: lifecycle profiles differ:\nserial: %+v\npar:    %+v",
-				trial, serial.Profile, par.Profile)
-		}
 	}
 }
 

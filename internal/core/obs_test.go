@@ -1,13 +1,13 @@
-package core_test
+package core
 
 import (
 	"reflect"
 	"testing"
 
 	"msrnet/internal/buslib"
-	"msrnet/internal/core"
 	"msrnet/internal/netgen"
 	"msrnet/internal/obs"
+	"msrnet/internal/obs/trace"
 )
 
 // TestOptimizeRecordsMetrics is the end-to-end instrumentation check of
@@ -26,7 +26,7 @@ func TestOptimizeRecordsMetrics(t *testing.T) {
 	rt := tr.RootAt(tr.Terminals()[0])
 	tech := buslib.Default()
 	reg := obs.New()
-	res, err := core.Optimize(rt, tech, core.Options{Repeaters: true, Obs: reg})
+	res, err := Optimize(rt, tech, Options{Repeaters: true, Obs: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,6 +71,40 @@ func TestOptimizeRecordsMetrics(t *testing.T) {
 	if reg.SpanSeconds("msri/solve") <= 0 {
 		t.Error("msri/solve span not recorded")
 	}
+	// With every channel on, over the option mix, the registry's core/*
+	// counters, gauge and histogram counts reconcile with Stats exactly.
+	for _, tc := range optionMix {
+		t.Run(tc.name, func(t *testing.T) {
+			reg := obs.New()
+			res := tc.run(t, allOn(reg, trace.New(0)))
+			s, snap := res.Stats, reg.Snapshot()
+			kind := "core/prune/" + tc.opt.Pruner.String()
+			for name, want := range map[string]int{
+				"core/solutions_created": s.SolutionsCreated,
+				kind + "/calls":          s.PruneCalls,
+				kind + "/drops":          s.Dropped,
+			} {
+				if got := snap.Counters[name]; got != int64(want) {
+					t.Errorf("counter %s = %d, Stats say %d", name, got, want)
+				}
+			}
+			if got := snap.Gauges["core/max_set_size"]; got != int64(s.MaxSetSize) {
+				t.Errorf("max set gauge = %d, Stats.MaxSetSize %d", got, s.MaxSetSize)
+			}
+			for _, name := range []string{"core/set_size/pre_prune", "core/set_size/post_prune"} {
+				if got := snap.Histograms[name].Count; got != int64(s.PruneCalls) {
+					t.Errorf("%s holds %d observations, Stats.PruneCalls %d", name, got, s.PruneCalls)
+				}
+			}
+			segs := snap.Histograms["core/pwl_segments"]
+			if segs.Count != 2*int64(s.SolutionsCreated) {
+				t.Errorf("pwl_segments holds %d observations, want 2×%d (A and D)", segs.Count, s.SolutionsCreated)
+			}
+			if segs.Max == nil || int(*segs.Max) != s.MaxSegs {
+				t.Errorf("segment max = %v, Stats.MaxSegs %d", segs.Max, s.MaxSegs)
+			}
+		})
+	}
 }
 
 // TestOptimizeStatsConsistentAcrossPruners: every pruner path must
@@ -83,8 +117,8 @@ func TestOptimizeStatsConsistentAcrossPruners(t *testing.T) {
 	}
 	rt := tr.RootAt(tr.Terminals()[0])
 	tech := buslib.Default()
-	for _, p := range []core.Pruner{core.PruneDivide, core.PruneNaive} {
-		res, err := core.Optimize(rt, tech, core.Options{Repeaters: true, Pruner: p})
+	for _, p := range []Pruner{PruneDivide, PruneNaive} {
+		res, err := Optimize(rt, tech, Options{Repeaters: true, Pruner: p})
 		if err != nil {
 			t.Fatalf("%v: %v", p, err)
 		}
@@ -94,7 +128,7 @@ func TestOptimizeStatsConsistentAcrossPruners(t *testing.T) {
 		}
 		// A recorded run must not change the result or the stats.
 		reg := obs.New()
-		res2, err := core.Optimize(rt, tech, core.Options{Repeaters: true, Pruner: p, Obs: reg})
+		res2, err := Optimize(rt, tech, Options{Repeaters: true, Pruner: p, Obs: reg})
 		if err != nil {
 			t.Fatalf("%v with recorder: %v", p, err)
 		}
@@ -113,7 +147,7 @@ func TestOptimizeStatsConsistentAcrossPruners(t *testing.T) {
 		t.Fatal(err)
 	}
 	rtS := trS.RootAt(trS.Terminals()[0])
-	res, err := core.Optimize(rtS, tech, core.Options{Repeaters: true, Pruner: core.PruneOff})
+	res, err := Optimize(rtS, tech, Options{Repeaters: true, Pruner: PruneOff})
 	if err != nil {
 		t.Fatal(err)
 	}

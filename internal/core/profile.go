@@ -1,7 +1,5 @@
 package core
 
-import "sync"
-
 // Candidate-lifecycle profiling (Options.Profile): every solution the
 // DP constructs is stamped with a birth site — the topology node it was
 // built for plus the candidate class of the construction rule — and its
@@ -12,9 +10,9 @@ import "sync"
 // never contribute to the answer — the measuring stick for predictive
 // pruning (ROADMAP open item 1).
 //
-// The accounting is deterministic: every field is an order-independent
-// sum, so serial and parallel runs of the same input produce identical
-// profiles, and repeated runs produce byte-identical artifacts.
+// The accounting is deterministic: the DP walk is serial and every field
+// is an order-independent sum, so repeated runs of the same input
+// produce byte-identical artifacts.
 
 // Candidate classes: the construction rule that created a solution.
 // They deliberately match the Stats.PruneSites keys where a prune
@@ -204,8 +202,10 @@ func (p *LifecycleProfile) waveAt(node int) *WaveStats {
 	return w
 }
 
-// TotalBorn sums candidates constructed across all sites; on a
-// single-run profile it equals Stats.SolutionsCreated.
+// TotalBorn sums candidates constructed across all sites. On a
+// single-run profile it is Stats.SolutionsCreated less the unbuffered
+// sets RepeaterSolutions carries through to its prune, which Stats
+// counts again.
 func (p *LifecycleProfile) TotalBorn() int {
 	n := 0
 	for _, st := range p.Sites {
@@ -287,47 +287,6 @@ type lifeRec struct {
 	domCut bool
 }
 
-// lifeProf is the run-scoped collector behind Options.Profile. All
-// aggregate updates are commutative sums under one mutex, so parallel
-// subtree goroutines produce the same profile as a serial run. A nil
-// *lifeProf (profiling off) costs one pointer check per hook.
-type lifeProf struct {
-	mu sync.Mutex
-	p  *LifecycleProfile
-}
-
-func newLifeProf() *lifeProf {
-	return &lifeProf{p: NewLifecycleProfile()}
-}
-
-// born stamps a freshly constructed batch and charges its construction
-// work to the site ledger.
-func (lp *lifeProf) born(sols []*Solution, class string, node int, kind string) {
-	if lp == nil || len(sols) == 0 {
-		return
-	}
-	var segSum int64
-	for _, s := range sols {
-		segs := s.A.NumSegs() + s.D.NumSegs()
-		s.lc = &lifeRec{class: class, node: node, segs: int32(segs), depth: lineageDepth(s)}
-		segSum += int64(segs)
-	}
-	k := SiteKey{Class: class, Node: node}
-	lp.mu.Lock()
-	st := lp.p.site(k)
-	st.Born += len(sols)
-	st.SegOps += segSum
-	st.Allocs += int64(len(sols))
-	lp.p.TotalSegOps += segSum
-	lp.p.TotalAllocs += int64(len(sols))
-	w := lp.p.waveAt(node)
-	if w.Kind == "" {
-		w.Kind = kind
-	}
-	w.Born += len(sols)
-	lp.mu.Unlock()
-}
-
 // lineageDepth is the survival depth a freshly constructed candidate
 // inherits: the max over the stamped parents it derives from. Parents
 // without a stamp (profiling re-entry, synthetic stubs) contribute 0.
@@ -345,7 +304,7 @@ func lineageDepth(s *Solution) int32 {
 // kill attributes one death: dominator s emptied t's remaining domain.
 // t still carries its pre-subtraction domain, so the eps=0 re-check
 // sees exactly the state the relaxed kill saw.
-func (lp *lifeProf) kill(s, t *Solution, eps float64) {
+func (p *LifecycleProfile) kill(s, t *Solution, eps float64) {
 	lc := t.lc
 	cause := CauseDelay
 	switch {
@@ -357,22 +316,27 @@ func (lp *lifeProf) kill(s, t *Solution, eps float64) {
 		cause = CauseDomain
 	}
 	cell := WasteCell{Deaths: 1, Allocs: 1}
-	k := SiteKey{}
 	depth := 0
 	if lc != nil {
 		cell.SegOps = int64(lc.segs)
-		k = SiteKey{Class: lc.class, Node: lc.node}
 		depth = int(lc.depth)
 	}
-	lp.mu.Lock()
-	st := lp.p.site(k)
+	st := p.site(siteOf(t))
 	dc := st.Deaths[cause]
 	dc.add(cell)
 	st.Deaths[cause] = dc
-	lp.p.Depth[depthBucket(depth)].add(cell)
-	lp.p.WastedSegOps += cell.SegOps
-	lp.p.WastedAllocs += cell.Allocs
-	lp.mu.Unlock()
+	p.Depth[depthBucket(depth)].add(cell)
+	p.WastedSegOps += cell.SegOps
+	p.WastedAllocs += cell.Allocs
+}
+
+// siteOf is the birth site of a stamped candidate; the zero SiteKey for
+// an unstamped one (synthetic stubs).
+func siteOf(s *Solution) SiteKey {
+	if s.lc == nil {
+		return SiteKey{}
+	}
+	return SiteKey{Class: s.lc.class, Node: s.lc.node}
 }
 
 // killsExactly reports whether s still empties t's remaining domain
@@ -384,72 +348,4 @@ func killsExactly(s, t *Solution) bool {
 		return false
 	}
 	return t.Dom.Subtract(reg).IsEmpty()
-}
-
-// survivedPrune bumps the survival depth of every candidate that came
-// out of a prune alive.
-func (lp *lifeProf) survivedPrune(out []*Solution) {
-	if lp == nil {
-		return
-	}
-	for _, s := range out {
-		if s.lc != nil {
-			s.lc.depth++
-		}
-	}
-}
-
-// died charges a prune call's drop count to the node being pruned (the
-// wavefront's "died here" axis; the per-candidate attribution happened
-// in kill).
-func (lp *lifeProf) died(node int, drops int) {
-	if lp == nil || drops == 0 {
-		return
-	}
-	lp.mu.Lock()
-	lp.p.waveAt(node).Died += drops
-	lp.mu.Unlock()
-}
-
-// final records a node's finished set size on the wavefront.
-func (lp *lifeProf) final(node int, size int) {
-	if lp == nil {
-		return
-	}
-	lp.mu.Lock()
-	lp.p.waveAt(node).Final = size
-	lp.mu.Unlock()
-}
-
-// joins counts JoinSets pairings examined (built or skipped).
-func (lp *lifeProf) joins(n int64) {
-	if lp == nil || n == 0 {
-		return
-	}
-	lp.mu.Lock()
-	lp.p.JoinPairings += n
-	lp.mu.Unlock()
-}
-
-// survive credits one suite point to the closing solution's birth site.
-func (lp *lifeProf) survive(s *Solution) {
-	if lp == nil {
-		return
-	}
-	k := SiteKey{}
-	if s.lc != nil {
-		k = SiteKey{Class: s.lc.class, Node: s.lc.node}
-	}
-	lp.mu.Lock()
-	lp.p.site(k).Survived++
-	lp.mu.Unlock()
-}
-
-// profile finalizes and returns the collected profile.
-func (lp *lifeProf) profile() *LifecycleProfile {
-	if lp == nil {
-		return nil
-	}
-	lp.p.Runs = 1
-	return lp.p
 }

@@ -1,42 +1,74 @@
 package core
 
 import (
-	"math"
 	"math/rand"
 	"reflect"
 	"testing"
 
 	"msrnet/internal/buslib"
 	"msrnet/internal/netgen"
+	"msrnet/internal/obs"
+	"msrnet/internal/obs/trace"
 	"msrnet/internal/pwl"
 	"msrnet/internal/testnet"
+	"msrnet/internal/topo"
 )
 
 func profiledRun(t *testing.T, pins int, seed int64, opt Options) *Result {
 	t.Helper()
-	tr, err := netgen.Generate(seed, netgen.Defaults(pins))
-	if err != nil {
-		t.Fatal(err)
-	}
-	rt := tr.RootAt(tr.Terminals()[0])
-	res, err := Optimize(rt, buslib.Default(), opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return res
+	return mixCase{pins: pins, seed: seed, opt: opt}.run(t, opt)
 }
 
-// profiledSmallRun is profiledRun over a compact testnet fixture — for
-// option combinations (wire sizing, driver sizing) whose solution space
-// explodes on the netgen workloads.
-func profiledSmallRun(t *testing.T, seed int64, opt Options) *Result {
+// mixCase is one input of the instrumentation reconciliation checks: a
+// net and an option mix.
+type mixCase struct {
+	name string
+	pins int // netgen pins; 0 selects the compact testnet fixture
+	seed int64
+	opt  Options
+}
+
+// optionMix spans every construction and prune site: repeaters, driver
+// sizing, wire widths, the naive pruner and a degraded (CoarseEps > 0)
+// run. Driver and wire sizing run on the compact testnet fixture, since
+// their solution space explodes on the netgen workloads.
+var optionMix = []mixCase{
+	{"repeaters/12pin", 12, 3, Options{Repeaters: true}},
+	{"repeaters/10pin", 10, 1, Options{Repeaters: true}},
+	{"sizing", 0, 1012, Options{Repeaters: true, SizeDrivers: true}},
+	{"widths", 0, 1011, Options{Repeaters: true, WireWidths: []float64{1, 2}, WireCostPerUm: 1e-4}},
+	{"naive", 10, 1, Options{Repeaters: true, Pruner: PruneNaive}},
+	{"coarse", 12, 3, Options{Repeaters: true, CoarseEps: 0.05}},
+}
+
+// allOn is the instrumentation the reconciliation checks run under:
+// every channel live at once.
+func allOn(reg obs.Recorder, tcr *trace.Tracer) Options {
+	return Options{Obs: reg, Trace: tcr, TraceArgs: []trace.Arg{trace.S("trace_id", "mix")}, Profile: true}
+}
+
+// run solves the case with the instrumentation fields of on (Obs, Trace,
+// TraceArgs, Profile) added to its options.
+func (c mixCase) run(t *testing.T, on Options) *Result {
 	t.Helper()
-	r := rand.New(rand.NewSource(seed))
-	cfg := testnet.DefaultConfig()
-	cfg.Backbone = 3
-	tr := testnet.RandTree(r, cfg)
-	tech := testnet.RandTech(r, 2, 3)
-	rt := tr.RootAt(testnet.RootTerminal(tr))
+	opt := c.opt
+	opt.Obs, opt.Trace, opt.TraceArgs, opt.Profile = on.Obs, on.Trace, on.TraceArgs, on.Profile
+	var rt *topo.Rooted
+	tech := buslib.Default()
+	if c.pins == 0 {
+		r := rand.New(rand.NewSource(c.seed))
+		cfg := testnet.DefaultConfig()
+		cfg.Backbone = 3
+		tr := testnet.RandTree(r, cfg)
+		tech = testnet.RandTech(r, 2, 3)
+		rt = tr.RootAt(testnet.RootTerminal(tr))
+	} else {
+		tr, err := netgen.Generate(c.seed, netgen.Defaults(c.pins))
+		if err != nil {
+			t.Fatal(err)
+		}
+		rt = tr.RootAt(tr.Terminals()[0])
+	}
 	res, err := Optimize(rt, tech, opt)
 	if err != nil {
 		t.Fatal(err)
@@ -49,32 +81,34 @@ func profiledSmallRun(t *testing.T, seed int64, opt Options) *Result {
 // cell, every suite point to exactly one birth site, and the derived
 // histograms agree with the primary counters.
 func TestProfileDeathsReconcile(t *testing.T) {
-	for _, tc := range []struct {
-		name string
-		pins int // 0 selects the compact testnet fixture
-		seed int64
-		opt  Options
-	}{
-		{"repeaters/12pin", 12, 3, Options{Repeaters: true, Profile: true}},
-		{"repeaters/10pin", 10, 1, Options{Repeaters: true, Profile: true}},
-		{"sizing", 0, 1012, Options{Repeaters: true, SizeDrivers: true, Profile: true}},
-		{"widths", 0, 1011, Options{Repeaters: true, WireWidths: []float64{1, 2}, WireCostPerUm: 1e-4, Profile: true}},
-		{"naive", 10, 1, Options{Repeaters: true, Pruner: PruneNaive, Profile: true}},
-		{"parallel", 12, 3, Options{Repeaters: true, Parallel: true, Profile: true}},
-	} {
+	for _, tc := range optionMix {
 		t.Run(tc.name, func(t *testing.T) {
-			var res *Result
-			if tc.pins == 0 {
-				res = profiledSmallRun(t, tc.seed, tc.opt)
-			} else {
-				res = profiledRun(t, tc.pins, tc.seed, tc.opt)
-			}
+			tcr := trace.New(0)
+			res := tc.run(t, allOn(obs.New(), tcr))
 			p := res.Profile
 			if p == nil {
 				t.Fatal("Options.Profile set but Result.Profile is nil")
 			}
 			if p.Runs != 1 {
 				t.Errorf("Runs = %d, want 1", p.Runs)
+			}
+			// Every candidate Stats counts is born once, except the
+			// unbuffered set each repeater prune carries through, which
+			// Stats counts again: the repeater prunes' inputs minus the
+			// repeater births.
+			carried := 0
+			for _, ev := range tcr.Events() {
+				if ints, strs := evArgs(ev); ev.Name == "dp/prune" && strs["site"] == ClassRepeater {
+					carried += int(ints["pre"])
+				}
+			}
+			for k, st := range p.Sites {
+				if k.Class == ClassRepeater {
+					carried -= st.Born
+				}
+			}
+			if got := p.TotalBorn() + carried; got != res.Stats.SolutionsCreated {
+				t.Errorf("born %d + carried %d != Stats.SolutionsCreated %d", p.TotalBorn(), carried, res.Stats.SolutionsCreated)
 			}
 			if got := p.TotalDeaths(); got != res.Stats.Dropped {
 				t.Errorf("attributed deaths %d != Stats.Dropped %d", got, res.Stats.Dropped)
@@ -243,22 +277,22 @@ func TestKillsExactly(t *testing.T) {
 	}
 }
 
-// TestProfileZeroAllocWhenOff extends the PR-1 zero-alloc guard to the
-// lifecycle hooks: with profiling off (nil lifeProf), the born/prune
-// paths must not allocate.
+// TestProfileZeroAllocWhenOff extends the zero-alloc guard to the
+// lifecycle paths of the event sink: with profiling off (nil profile),
+// a node's events and the run's close must neither allocate nor stamp
+// candidates.
 func TestProfileZeroAllocWhenOff(t *testing.T) {
-	d := &dp{opt: Options{}}
-	sols := []*Solution{{
-		Cost: 1, Cap: 0.5, Q: math.Inf(-1),
-		A: pwl.Linear(1, 2), D: pwl.NegInf(), Dom: pwl.Full(),
-	}}
+	s, sols := offSink()
+	suite := Suite{{sol: sols[0]}}
 	if n := testing.AllocsPerRun(1000, func() {
-		d.born(sols, ClassJoin, 1)
-		d.lp.survivedPrune(sols)
-		d.lp.died(1, 0)
-		d.lp.final(1, 1)
-		d.lp.joins(4)
+		sinkEvents(s, sols, 1)
+		if s.finish(0, 1, suite) != nil {
+			t.Fatal("profile returned with profiling off")
+		}
 	}); n != 0 {
-		t.Errorf("nil-profiler lifecycle hooks allocate %.2f per node, want 0", n)
+		t.Errorf("nil-profile lifecycle paths allocate %.2f per node, want 0", n)
+	}
+	if sols[0].lc != nil {
+		t.Error("candidate stamped with profiling off")
 	}
 }

@@ -195,9 +195,9 @@ func scalarLeq(a, b, tol float64) bool {
 // pruneNaive computes the minimal functional subset of sols by pairwise
 // comparison (O(k²) pairs). Solutions whose domain becomes empty are
 // removed. The input slice is not modified; surviving solutions may carry
-// reduced domains. lp, when non-nil, receives one death attribution per
+// reduced domains. prof, when non-nil, receives one death attribution per
 // candidate at the subtraction that empties its domain.
-func pruneNaive(sols []*Solution, eps float64, lp *lifeProf) []*Solution {
+func pruneNaive(sols []*Solution, eps float64, prof *LifecycleProfile) []*Solution {
 	work := make([]*Solution, len(sols))
 	copy(work, sols)
 	sortSolutions(work)
@@ -215,9 +215,9 @@ func pruneNaive(sols []*Solution, eps float64, lp *lifeProf) []*Solution {
 			}
 			cp := *work[j]
 			cp.Dom = work[j].Dom.Subtract(reg)
-			if lp != nil {
+			if prof != nil {
 				if cp.Dom.IsEmpty() {
-					lp.kill(work[i], work[j], eps)
+					prof.kill(work[i], work[j], eps)
 				} else if cp.lc != nil {
 					cp.lc.domCut = true
 				}
@@ -239,11 +239,11 @@ func pruneNaive(sols []*Solution, eps float64, lp *lifeProf) []*Solution {
 // half against the other. Suboptimal solutions discarded deep in the
 // recursion never participate in higher-level comparisons, which is the
 // source of the speedup in practice.
-func pruneDivide(sols []*Solution, eps float64, lp *lifeProf) []*Solution {
+func pruneDivide(sols []*Solution, eps float64, prof *LifecycleProfile) []*Solution {
 	work := make([]*Solution, len(sols))
 	copy(work, sols)
 	sortSolutions(work)
-	out := mfsRec(work, eps, lp)
+	out := mfsRec(work, eps, prof)
 	final := out[:0]
 	for _, s := range out {
 		if !s.Dom.IsEmpty() {
@@ -254,26 +254,26 @@ func pruneDivide(sols []*Solution, eps float64, lp *lifeProf) []*Solution {
 	return final
 }
 
-func mfsRec(sols []*Solution, eps float64, lp *lifeProf) []*Solution {
+func mfsRec(sols []*Solution, eps float64, prof *LifecycleProfile) []*Solution {
 	if len(sols) <= 1 {
 		return sols
 	}
 	if len(sols) <= 4 {
-		return pruneNaive(sols, eps, lp)
+		return pruneNaive(sols, eps, prof)
 	}
 	mid := len(sols) / 2
-	left := mfsRec(sols[:mid], eps, lp)
-	right := mfsRec(sols[mid:], eps, lp)
+	left := mfsRec(sols[:mid], eps, prof)
+	right := mfsRec(sols[mid:], eps, prof)
 	// Cross-prune: right against left, then left against the surviving
 	// right.
-	right = pruneAgainst(right, left, eps, lp)
-	left = pruneAgainst(left, right, eps, lp)
+	right = pruneAgainst(right, left, eps, prof)
+	left = pruneAgainst(left, right, eps, prof)
 	return append(left, right...)
 }
 
 // pruneAgainst shrinks the domains of targets using the members of
 // pruners, returning the surviving targets.
-func pruneAgainst(targets, prunners []*Solution, eps float64, lp *lifeProf) []*Solution {
+func pruneAgainst(targets, prunners []*Solution, eps float64, prof *LifecycleProfile) []*Solution {
 	out := make([]*Solution, 0, len(targets))
 	for _, t := range targets {
 		cur := t
@@ -288,9 +288,9 @@ func pruneAgainst(targets, prunners []*Solution, eps float64, lp *lifeProf) []*S
 			nd := cur.Dom.Subtract(reg)
 			cp := *cur
 			cp.Dom = nd
-			if lp != nil {
+			if prof != nil {
 				if nd.IsEmpty() {
-					lp.kill(s, cur, eps)
+					prof.kill(s, cur, eps)
 				} else if cp.lc != nil {
 					cp.lc.domCut = true
 				}

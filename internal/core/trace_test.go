@@ -7,9 +7,9 @@ import (
 
 	"msrnet/internal/buslib"
 	"msrnet/internal/netgen"
+	"msrnet/internal/obs"
 	"msrnet/internal/obs/trace"
 	"msrnet/internal/pwl"
-	"msrnet/internal/topo"
 )
 
 // TestOptimizeTracesPerNode is the tentpole acceptance check at the
@@ -83,89 +83,114 @@ func TestOptimizeTracesPerNode(t *testing.T) {
 			t.Errorf("node %d traced set size %d > Stats.MaxSetSize %d", node, set, res.Stats.MaxSetSize)
 		}
 	}
+	// With every channel on, over the option mix, the dp/* slices
+	// reconcile with Stats exactly: one node slice per subtree solve, one
+	// dp/prune slice per prune call whose per-site sums are
+	// Stats.PruneSites, and the run's identity tag on every event.
+	for _, tc := range optionMix {
+		t.Run(tc.name, func(t *testing.T) { checkTraceReconciles(t, tc) })
+	}
 }
 
-// TestOptimizeTraceParallelRace exercises the tracer from the parallel
-// subtree goroutines (meaningful under -race) and checks the run is
-// still deterministic.
-func TestOptimizeTraceParallelRace(t *testing.T) {
-	tr, err := netgen.Generate(3, netgen.Defaults(12))
-	if err != nil {
-		t.Fatal(err)
+// evArgs returns an event's integer args by key, and its string args in
+// a second map.
+func evArgs(ev trace.Event) (map[string]int64, map[string]string) {
+	ints, strs := map[string]int64{}, map[string]string{}
+	for _, a := range ev.Args[:ev.NArgs] {
+		if a.IsStr {
+			strs[a.Key] = a.Str
+		} else {
+			ints[a.Key] = a.Val
+		}
 	}
-	rt := tr.RootAt(tr.Terminals()[0])
-	tech := buslib.Default()
-	serial, err := Optimize(rt, tech, Options{Repeaters: true})
-	if err != nil {
-		t.Fatal(err)
+	return ints, strs
+}
+
+// checkTraceReconciles runs one option-mix case with every channel on
+// and reconciles its dp/* slices with Stats.
+func checkTraceReconciles(t *testing.T, tc mixCase) {
+	tcr := trace.New(0)
+	res := tc.run(t, allOn(obs.New(), tcr))
+	if tcr.Dropped() != 0 {
+		t.Fatalf("ring dropped %d events", tcr.Dropped())
 	}
-	tcr := trace.New(1 << 12)
-	par, err := Optimize(rt, tech, Options{Repeaters: true, Parallel: true, Trace: tcr})
-	if err != nil {
-		t.Fatal(err)
+	nodes := map[int64]int{}
+	sites := map[string]PruneSiteStats{}
+	prunes := 0
+	for _, ev := range tcr.Events() {
+		ints, strs := evArgs(ev)
+		if strs["trace_id"] != "mix" {
+			t.Fatalf("event lacks the run's trace_id tag: %+v", ev)
+		}
+		switch ev.Name {
+		case "dp/leaf", "dp/steiner", "dp/insertion":
+			nodes[ints["node"]]++
+		case "dp/prune":
+			prunes++
+			ps := sites[strs["site"]]
+			ps.Calls++
+			ps.Drops += int(ints["drops"])
+			sites[strs["site"]] = ps
+			if ints["pre"]-ints["post"] != ints["drops"] {
+				t.Errorf("prune slice args inconsistent: %+v", ev)
+			}
+		}
 	}
-	if !reflect.DeepEqual(par.Stats, serial.Stats) || len(par.Suite) != len(serial.Suite) {
-		t.Errorf("parallel traced run diverged: %+v vs %+v", par.Stats, serial.Stats)
+	if len(nodes) != res.Stats.NodesVisited {
+		t.Errorf("traced %d distinct nodes, Stats.NodesVisited %d", len(nodes), res.Stats.NodesVisited)
 	}
-	if tcr.Total() == 0 {
-		t.Error("parallel run recorded no events")
+	for node, n := range nodes {
+		if n != 1 {
+			t.Errorf("node %d traced %d times, want once", node, n)
+		}
+	}
+	if prunes != res.Stats.PruneCalls {
+		t.Errorf("traced %d dp/prune slices, Stats.PruneCalls %d", prunes, res.Stats.PruneCalls)
+	}
+	if !reflect.DeepEqual(sites, res.Stats.PruneSites) {
+		t.Errorf("per-site prune slices %v != Stats.PruneSites %v", sites, res.Stats.PruneSites)
 	}
 }
 
 // TestWavefrontReconcilesWithMaxSetSize: with Profile and Trace both
 // on, the "dp/wavefront" instants sample the per-node set size at
-// exactly the sites that feed Stats.MaxSetSize, so the max over the
-// timeline equals the stat exactly — the reconciliation the solveprof
-// wavefront summary depends on.
+// exactly the sites that feed Stats.MaxSetSize, so over the option mix
+// the max over the timeline equals the stat exactly — the reconciliation
+// the solveprof wavefront summary depends on.
 func TestWavefrontReconcilesWithMaxSetSize(t *testing.T) {
-	tr, err := netgen.Generate(3, netgen.Defaults(12))
-	if err != nil {
-		t.Fatal(err)
-	}
-	rt := tr.RootAt(tr.Terminals()[0])
-	tcr := trace.New(0)
-	res, err := Optimize(rt, buslib.Default(), Options{Repeaters: true, Profile: true, Trace: tcr})
-	if err != nil {
-		t.Fatal(err)
-	}
-	maxSet, events := int64(0), 0
-	for _, ev := range tcr.Events() {
-		if ev.Name != "dp/wavefront" {
-			continue
-		}
-		if ev.Phase != 'i' {
-			t.Fatalf("wavefront event not an instant: %+v", ev)
-		}
-		events++
-		var set int64 = -1
-		var node int64 = -1
-		for i := 0; i < int(ev.NArgs); i++ {
-			switch ev.Args[i].Key {
-			case "set":
-				set = ev.Args[i].Val
-			case "node":
-				node = ev.Args[i].Val
+	for _, tc := range optionMix {
+		t.Run(tc.name, func(t *testing.T) {
+			tcr := trace.New(0)
+			res := tc.run(t, allOn(obs.New(), tcr))
+			maxSet, events := int64(0), 0
+			for _, ev := range tcr.Events() {
+				if ev.Name != "dp/wavefront" {
+					continue
+				}
+				if ev.Phase != 'i' {
+					t.Fatalf("wavefront event not an instant: %+v", ev)
+				}
+				events++
+				ints, _ := evArgs(ev)
+				set, ok1 := ints["set"]
+				_, ok2 := ints["node"]
+				if !ok1 || !ok2 {
+					t.Fatalf("wavefront event missing node/set args: %+v", ev)
+				}
+				maxSet = max(maxSet, set)
 			}
-		}
-		if set < 0 || node < 0 {
-			t.Fatalf("wavefront event missing node/set args: %+v", ev)
-		}
-		if set > maxSet {
-			maxSet = set
-		}
-	}
-	if events == 0 {
-		t.Fatal("profiled traced run emitted no dp/wavefront instants")
-	}
-	if maxSet != int64(res.Stats.MaxSetSize) {
-		t.Errorf("wavefront max set %d != Stats.MaxSetSize %d", maxSet, res.Stats.MaxSetSize)
+			if events == 0 {
+				t.Fatal("profiled traced run emitted no dp/wavefront instants")
+			}
+			if maxSet != int64(res.Stats.MaxSetSize) {
+				t.Errorf("wavefront max set %d != Stats.MaxSetSize %d", maxSet, res.Stats.MaxSetSize)
+			}
+		})
 	}
 	// Without Profile the wavefront channel stays silent.
-	tcr2 := trace.New(0)
-	if _, err := Optimize(rt, buslib.Default(), Options{Repeaters: true, Trace: tcr2}); err != nil {
-		t.Fatal(err)
-	}
-	for _, ev := range tcr2.Events() {
+	tcr := trace.New(0)
+	optionMix[0].run(t, Options{Trace: tcr})
+	for _, ev := range tcr.Events() {
 		if ev.Name == "dp/wavefront" {
 			t.Fatal("dp/wavefront emitted without Options.Profile")
 		}
@@ -173,43 +198,42 @@ func TestWavefrontReconcilesWithMaxSetSize(t *testing.T) {
 }
 
 // TestInstrumentationZeroAllocWhenOff is the nil-Recorder fast-path
-// guard (PR-1 invariant, re-stated over the tracer): with Options.Obs
-// and Options.Trace both nil, the per-node instrumentation sites —
-// stats notes, nil metric handles, nil trace regions — must not
-// allocate. AllocsPerRun compiles the same code paths Optimize runs per
-// node.
+// guard: with Options.Obs, Trace and Profile all off, every method of
+// the DP's event sink — the one path each construction, set-forming,
+// prune and subtree-finish site reports through — must not allocate.
 func TestInstrumentationZeroAllocWhenOff(t *testing.T) {
-	d := &dp{opt: Options{}}
-	sols := []*Solution{{
-		Cost: 1, Cap: 0.5, Q: math.Inf(-1),
-		A: pwl.Linear(1, 2), D: pwl.NegInf(), Dom: pwl.Full(),
-	}}
-	if n := testing.AllocsPerRun(1000, func() {
-		d.note(sols)
-		d.noteSetSize(1, len(sols))
-		rg := d.tr.Begin(nodeEventName(topo.Terminal), "core")
-		rg.End(trace.I("node", 1), trace.I("set", 1), trace.I("segs", 1))
-		d.ins.maxSet.SetMax(3)
-		d.ins.segs.ObserveInt(2)
-		d.ins.solutions.Add(1)
-	}); n != 0 {
-		t.Errorf("nil-recorder instrumentation allocates %.2f per node, want 0", n)
+	s, sols := offSink()
+	if n := testing.AllocsPerRun(1000, func() { sinkEvents(s, sols, 1) }); n != 0 {
+		t.Errorf("uninstrumented event sink allocates %.2f per node, want 0", n)
 	}
 }
 
 // BenchmarkInstrumentationOff is the benchmark form of the same guard,
 // so `go test -bench Instrumentation -benchmem` shows 0 B/op.
 func BenchmarkInstrumentationOff(b *testing.B) {
-	d := &dp{opt: Options{}}
-	sols := []*Solution{{
+	s, sols := offSink()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		sinkEvents(s, sols, i)
+	}
+}
+
+// offSink is the event sink of a run with every instrumentation channel
+// off, plus a one-candidate set to report.
+func offSink() (*sink, []*Solution) {
+	s := newSink(nil, Options{})
+	return &s, []*Solution{{
 		Cost: 1, Cap: 0.5, Q: math.Inf(-1),
 		A: pwl.Linear(1, 2), D: pwl.NegInf(), Dom: pwl.Full(),
 	}}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		d.note(sols)
-		d.noteSetSize(1, len(sols))
-		rg := d.tr.Begin(nodeEventName(topo.Terminal), "core")
-		rg.End(trace.I("node", i), trace.I("set", 1), trace.I("segs", 1))
-	}
+}
+
+// sinkEvents reports one node's worth of DP events through s: a
+// subtree walk with a construction, a set formed, and a prune.
+func sinkEvents(s *sink, sols []*Solution, v int) {
+	rg := s.enter(v)
+	s.created(sols, 0, ClassWire, v, 0)
+	s.formed(v, len(sols))
+	s.pruned(s.tr.Begin("dp/prune", "core"), "join", v, 2, sols)
+	s.done(rg, v, sols)
 }

@@ -8,89 +8,13 @@
 // The package provides the O(n log n) sort-and-scan algorithm for two
 // dimensions, the KLP divide-and-conquer for three, and a general
 // divide-and-conquer for arbitrary dimension, together with a quadratic
-// reference implementation used in tests. The optimizer uses Minima2D
-// for (cost, ARD) suite extraction; the functional (per-c_E) pruning in
-// package core generalizes the same idea to PWL-valued coordinates.
+// reference implementation used in tests. No production path calls it:
+// it is the test oracle for package core, whose (cost, ARD) suite
+// extraction is checked against Minima2D, and whose functional (per-c_E)
+// pruning generalizes the same idea to PWL-valued coordinates.
 package dominance
 
-import (
-	"sort"
-	"sync/atomic"
-
-	"msrnet/internal/obs"
-	"msrnet/internal/obs/trace"
-)
-
-// domInstr caches the metric handles so the recursive hot paths pay one
-// atomic pointer load when instrumentation is off.
-type domInstr struct {
-	calls     *obs.Counter
-	fallbacks *obs.Counter
-	maxDepth  *obs.Gauge
-}
-
-var instr atomic.Pointer[domInstr]
-
-// SetObserver installs (or, with nil, removes) the package's
-// instrumentation sink. The package records the divide-and-conquer
-// recursion depth ("dominance/max_depth"), the number of small-case
-// quadratic fallbacks ("dominance/small_case_fallbacks") and total
-// minima calls ("dominance/calls"). Package-level because the classical
-// minima routines are free functions; the metrics themselves are atomic,
-// so concurrent callers are safe.
-func SetObserver(r obs.Recorder) {
-	if r == nil {
-		instr.Store(nil)
-		return
-	}
-	instr.Store(&domInstr{
-		calls:     r.Counter("dominance/calls"),
-		fallbacks: r.Counter("dominance/small_case_fallbacks"),
-		maxDepth:  r.Gauge("dominance/max_depth"),
-	})
-}
-
-var tracer atomic.Pointer[trace.Tracer]
-
-// SetTracer installs (or, with nil, removes) the package's timeline
-// tracer. Each top-level minima call records one "dominance/minima*"
-// slice (args: input points, surviving points) and each small-case
-// fallback inside the divide-and-conquer recursion records an instant
-// event with its depth, so a Perfetto view shows where pruning time
-// goes as the KLP recursion unwinds. Package-level for the same reason
-// as SetObserver: the minima routines are free functions.
-func SetTracer(t *trace.Tracer) { tracer.Store(t) }
-
-// begin opens a trace region for one top-level minima call; the nil
-// receiver path keeps uninstrumented callers at one atomic load.
-func begin(name string) trace.Region {
-	return tracer.Load().Begin(name, "dominance")
-}
-
-func endMinima(rg trace.Region, points, survivors int) {
-	rg.End(trace.I("points", points), trace.I("survivors", survivors))
-}
-
-func noteCall() *domInstr {
-	in := instr.Load()
-	if in != nil {
-		in.calls.Inc()
-	}
-	return in
-}
-
-func (in *domInstr) noteDepth(depth int) {
-	if in != nil {
-		in.maxDepth.SetMax(int64(depth))
-	}
-}
-
-func (in *domInstr) noteFallback(depth int) {
-	if in != nil {
-		in.fallbacks.Inc()
-	}
-	tracer.Load().Instant("dominance/fallback", "dominance", trace.I("depth", depth))
-}
+import "sort"
 
 // Point is a d-dimensional point; smaller is better in every coordinate.
 type Point []float64
@@ -114,8 +38,6 @@ func dominates(a, b Point, eps float64) bool {
 // quadratic pairwise comparison. Exact ties are resolved by keeping the
 // earliest index. It is the reference oracle for the fast algorithms.
 func MinimaNaive(pts []Point, eps float64) []int {
-	noteCall()
-	rg := begin("dominance/minima_naive")
 	var out []int
 	for i, p := range pts {
 		dominated := false
@@ -137,7 +59,6 @@ func MinimaNaive(pts []Point, eps float64) []int {
 			out = append(out, i)
 		}
 	}
-	endMinima(rg, len(pts), len(out))
 	return out
 }
 
@@ -155,8 +76,6 @@ func equal(a, b Point, eps float64) bool {
 // (breaking ties by the second, then by index) and sweep, keeping points
 // that strictly improve the best second coordinate seen.
 func Minima2D(pts []Point, eps float64) []int {
-	noteCall()
-	rg := begin("dominance/minima2d")
 	idx := make([]int, len(pts))
 	for i := range idx {
 		idx[i] = i
@@ -195,7 +114,6 @@ func Minima2D(pts []Point, eps float64) []int {
 		}
 	}
 	sort.Ints(out)
-	endMinima(rg, len(pts), len(out))
 	return out
 }
 
@@ -205,8 +123,6 @@ func Minima2D(pts []Point, eps float64) []int {
 // high half every point dominated in (y, z) by the staircase of the low
 // half.
 func Minima3D(pts []Point, eps float64) []int {
-	in := noteCall()
-	rg := begin("dominance/minima3d")
 	idx := make([]int, len(pts))
 	for i := range idx {
 		idx[i] = i
@@ -220,24 +136,21 @@ func Minima3D(pts []Point, eps float64) []int {
 		}
 		return idx[a] < idx[b]
 	})
-	surv := minima3Rec(pts, idx, eps, 1, in)
+	surv := minima3Rec(pts, idx, eps)
 	sort.Ints(surv)
-	endMinima(rg, len(pts), len(surv))
 	return surv
 }
 
-func minima3Rec(pts []Point, idx []int, eps float64, depth int, in *domInstr) []int {
-	in.noteDepth(depth)
+func minima3Rec(pts []Point, idx []int, eps float64) []int {
 	if len(idx) <= 1 {
 		return append([]int(nil), idx...)
 	}
 	if len(idx) <= 8 {
-		in.noteFallback(depth)
 		return smallMinima(pts, idx, eps)
 	}
 	mid := len(idx) / 2
-	low := minima3Rec(pts, idx[:mid], eps, depth+1, in)
-	high := minima3Rec(pts, idx[mid:], eps, depth+1, in)
+	low := minima3Rec(pts, idx[:mid], eps)
+	high := minima3Rec(pts, idx[mid:], eps)
 	// Points in `high` have x ≥ every x in `low` (by sort order), so a
 	// high point survives only if no low point dominates it in (y, z).
 	// Build the (y → min z) staircase of the low survivors.
@@ -319,8 +232,6 @@ func MinimaKD(pts []Point, eps float64) []int {
 	case 3:
 		return Minima3D(pts, eps)
 	}
-	in := noteCall()
-	rg := begin("dominance/minima_kd")
 	idx := make([]int, len(pts))
 	for i := range idx {
 		idx[i] = i
@@ -334,21 +245,18 @@ func MinimaKD(pts []Point, eps float64) []int {
 		}
 		return idx[a] < idx[b]
 	})
-	surv := kdRec(pts, idx, eps, 1, in)
+	surv := kdRec(pts, idx, eps)
 	sort.Ints(surv)
-	endMinima(rg, len(pts), len(surv))
 	return surv
 }
 
-func kdRec(pts []Point, idx []int, eps float64, depth int, in *domInstr) []int {
-	in.noteDepth(depth)
+func kdRec(pts []Point, idx []int, eps float64) []int {
 	if len(idx) <= 16 {
-		in.noteFallback(depth)
 		return smallMinima(pts, idx, eps)
 	}
 	mid := len(idx) / 2
-	low := kdRec(pts, idx[:mid], eps, depth+1, in)
-	high := kdRec(pts, idx[mid:], eps, depth+1, in)
+	low := kdRec(pts, idx[:mid], eps)
+	high := kdRec(pts, idx[mid:], eps)
 	out := low
 	for _, i := range high {
 		dominated := false

@@ -774,7 +774,6 @@ func (d *Daemon) exec(t *task) Result {
 		// use (see TestOptionsCopiesAreGoroutineSafe).
 		opt := core.Options{
 			IncludeSelf: j.Options.IncludeSelf,
-			Parallel:    j.Options.Parallel,
 			WireWidths:  append([]float64(nil), j.Options.WireWidths...),
 			Obs:         asRecorder(d.reg),
 			Trace:       d.cfg.Tracer,

@@ -329,15 +329,72 @@ func TestCacheKeyDistinguishesOptions(t *testing.T) {
 	}
 }
 
+// TestLegacyParallelOptionAccepted: msrnet-job/v1 bodies from older
+// clients may still carry "options": {"parallel": true}, an option the
+// DP no longer has. The daemon must accept them and return exactly the
+// result of the same job without the field, from one cache entry.
+func TestLegacyParallelOptionAccepted(t *testing.T) {
+	reg := obs.New()
+	d := newTestDaemon(t, Config{Workers: 1, CacheSize: 16, Reg: reg})
+	h := d.Handler()
+
+	plain, err := json.Marshal(oneJobRequest(Job{ID: "j", Mode: "both", Net: testNetFile(t, 12, 6)}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var raw map[string]any
+	if err := json.Unmarshal(plain, &raw); err != nil {
+		t.Fatal(err)
+	}
+	raw["jobs"].([]any)[0].(map[string]any)["options"] = map[string]any{"parallel": true}
+	legacy, err := json.Marshal(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Contains(legacy, []byte(`"options":{"parallel":true}`)) {
+		t.Fatalf("legacy body lacks the parallel option: %s", legacy)
+	}
+
+	post := func(body []byte) Result {
+		t.Helper()
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/jobs", bytes.NewReader(body)))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("status %d, want 200; body %s", rec.Code, rec.Body)
+		}
+		var resp Response
+		if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
+			t.Fatal(err)
+		}
+		if len(resp.Results) != 1 || resp.Results[0].Status != StatusOK {
+			t.Fatalf("want one ok result, got %s", rec.Body)
+		}
+		return resp.Results[0]
+	}
+	old := post(legacy)
+	cur := post(plain)
+	if old.Cached || !cur.Cached {
+		t.Fatalf("cached = %t then %t, want false then true", old.Cached, cur.Cached)
+	}
+	if hits := reg.Counter("svc/cache_hits").Value(); hits != 1 {
+		t.Fatalf("cache_hits = %d, want 1", hits)
+	}
+	cur.Cached = false
+	ob, _ := json.Marshal(old)
+	cb, _ := json.Marshal(cur)
+	if !bytes.Equal(ob, cb) {
+		t.Fatalf("legacy parallel job result differs:\n%s\nvs\n%s", ob, cb)
+	}
+}
+
 // TestOptionsCopiesAreGoroutineSafe verifies the contract the daemon's
-// workers rely on (and that msri -parallel documents): copies of one
-// core.Options value, sharing a Recorder and a WireWidths slice, can
+// workers rely on: copies of one core.Options value, sharing a Recorder and a WireWidths slice, can
 // drive concurrent Optimize runs and reproduce the serial results
 // exactly. Run under -race this also proves the copies introduce no
 // write sharing.
 func TestOptionsCopiesAreGoroutineSafe(t *testing.T) {
 	reg := obs.New()
-	base := core.Options{Repeaters: true, Parallel: true, WireWidths: nil, Obs: reg, Pruner: core.PruneDivide}
+	base := core.Options{Repeaters: true, WireWidths: nil, Obs: reg, Pruner: core.PruneDivide}
 
 	type outcome struct {
 		cost, ard float64
