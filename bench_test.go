@@ -358,7 +358,7 @@ func BenchmarkTopologySynthesis(b *testing.B) {
 	b.ResetTimer()
 	var last float64
 	for i := 0; i < b.N; i++ {
-		res, err := ptree.TimingDriven(pts, terms, tech, 800, ptree.Options{})
+		res, err := ptree.TimingDriven(pts, terms, tech, 800)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -59,7 +59,7 @@ func main() {
 	loadSpan.End()
 	rt := tr.RootAt(tr.Terminals()[0])
 	net := rctree.NewNet(rt, tech, rctree.Assignment{})
-	res := ard.Compute(net, ard.Options{IncludeSelf: *self, Obs: run.Recorder()})
+	res := ard.Compute(net, ard.Options{IncludeSelf: *self, Obs: run.Reg})
 	name := func(id int) string {
 		if id < 0 {
 			return "-"

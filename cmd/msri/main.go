@@ -78,7 +78,7 @@ func main() {
 		fatal(err)
 	}
 	loadSpan.End()
-	opt := core.Options{Obs: run.Recorder(), Trace: tcr}
+	opt := core.Options{Obs: run.Reg, Trace: tcr}
 	switch *mode {
 	case "repeaters":
 		opt.Repeaters = true
@@ -111,7 +111,7 @@ func main() {
 
 	rt := tr.RootAt(tr.Terminals()[0])
 	base := rctree.NewNet(rt, tech, rctree.Assignment{})
-	baseARD := ard.Compute(base, ard.Options{Obs: run.Recorder(), Trace: tcr}).ARD
+	baseARD := ard.Compute(base, ard.Options{Obs: run.Reg, Trace: tcr}).ARD
 	fmt.Printf("net: %d terminals, %d insertion points, %.0f µm wire, unoptimized ARD %.4f ns\n",
 		len(tr.Terminals()), len(tr.Insertions()), tr.TotalWireLength(), baseARD)
 

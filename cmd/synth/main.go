@@ -79,7 +79,7 @@ func main() {
 	baseLen := rsmt.Steiner(pts).Length()
 
 	synSpan := reg.StartSpan("synth/synthesize")
-	res, err := ptree.TimingDriven(pts, terms, tech, *spacing, ptree.Options{})
+	res, err := ptree.TimingDriven(pts, terms, tech, *spacing)
 	if err != nil {
 		fatal(err)
 	}

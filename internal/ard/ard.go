@@ -33,7 +33,7 @@ type Options struct {
 	// Obs, when non-nil, records the "ard/compute" span (with its
 	// "stage_cap" and "dfs" sub-passes) and per-run node counters, the
 	// observable side of the §III linear-time claim. Nil is free.
-	Obs obs.Recorder
+	Obs *obs.Registry
 	// Trace, when non-nil, records the timeline of the three Fig. 2
 	// passes — "ard/stage_cap" (the eqs. 1–2 capacitance pass),
 	// "ard/dfs" (the post-order (a, q, d) walk) and "ard/root" (the root
@@ -106,23 +106,21 @@ type lifted struct {
 // Compute returns the ARD of the assigned net in linear time.
 func Compute(n *rctree.Net, opt Options) Result {
 	t := n.R.Tree
-	total := obs.Start(opt.Obs, "ard/compute")
+	total := opt.Obs.StartSpan("ard/compute")
 	defer total.End()
 	trTotal := opt.Trace.Begin("ard/compute", "ard")
 	defer func() {
 		trTotal.End(opt.targs(trace.I("nodes", t.NumNodes()),
 			trace.I("sources", len(t.Sources())), trace.I("sinks", len(t.Sinks())))...)
 	}()
-	if opt.Obs != nil {
-		opt.Obs.Counter("ard/runs").Inc()
-		opt.Obs.Counter("ard/nodes").Add(int64(t.NumNodes()))
-		opt.Obs.Counter("ard/sources").Add(int64(len(t.Sources())))
-		opt.Obs.Counter("ard/sinks").Add(int64(len(t.Sinks())))
-	}
+	opt.Obs.Counter("ard/runs").Inc()
+	opt.Obs.Counter("ard/nodes").Add(int64(t.NumNodes()))
+	opt.Obs.Counter("ard/sources").Add(int64(len(t.Sources())))
+	opt.Obs.Counter("ard/sinks").Add(int64(len(t.Sinks())))
 	// Per-node total stage capacitance for O(1) "stage cap away from
 	// child c" queries at branch points: stageCap[v] − wireCap(c) −
 	// CapBelow[c]. Undefined at repeater nodes, whose sides decouple.
-	capPass := obs.Start(opt.Obs, "ard/compute/stage_cap")
+	capPass := opt.Obs.StartSpan("ard/compute/stage_cap")
 	trCap := opt.Trace.Begin("ard/stage_cap", "ard")
 	stageCap := make([]float64, t.NumNodes())
 	for _, v := range n.R.PostOrder {
@@ -135,7 +133,7 @@ func Compute(n *rctree.Net, opt Options) Result {
 	trCap.End(opt.targs(trace.I("nodes", t.NumNodes()))...)
 	capPass.End()
 
-	dfsPass := obs.Start(opt.Obs, "ard/compute/dfs")
+	dfsPass := opt.Obs.StartSpan("ard/compute/dfs")
 	defer dfsPass.End()
 	trDFS := opt.Trace.Begin("ard/dfs", "ard")
 	sub := make([]subtree, t.NumNodes())

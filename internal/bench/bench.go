@@ -66,7 +66,7 @@ type Config struct {
 
 // workload pairs a stable name with a body that does the work and
 // returns its deterministic counters. The registry collects phase spans
-// (and any library counters wired through obs.Recorder).
+// and the library counters of the runs it is passed to.
 type workload struct {
 	name string
 	run  func(reg *obs.Registry) (map[string]int64, error)
@@ -86,12 +86,8 @@ func ardWorkload(pins int, seed int64, iters int) workload {
 			}
 			rt := tr.RootAt(tr.Terminals()[0])
 			net := rctree.NewNet(rt, buslib.Default(), rctree.Assignment{})
-			var rec obs.Recorder
-			if reg != nil {
-				rec = reg
-			}
 			for i := 0; i < iters; i++ {
-				ard.Compute(net, ard.Options{Obs: rec})
+				ard.Compute(net, ard.Options{Obs: reg})
 			}
 			return map[string]int64{
 				"nodes":      int64(tr.NumNodes()),
@@ -114,7 +110,7 @@ func MSRIWorkloadName(pins int) string { return fmt.Sprintf("msri/%dpin", pins) 
 // on. Profiling is pure observation (asserted by the core tests), so
 // the Stats counters are identical to an unprofiled run — the committed
 // baseline stays valid.
-func msriRun(pins int, rec obs.Recorder) (*core.Result, error) {
+func msriRun(pins int, reg *obs.Registry) (*core.Result, error) {
 	seed, ok := msriParams[pins]
 	if !ok {
 		return nil, fmt.Errorf("bench: no committed msri workload for %d pins", pins)
@@ -124,7 +120,7 @@ func msriRun(pins int, rec obs.Recorder) (*core.Result, error) {
 		return nil, err
 	}
 	rt := tr.RootAt(tr.Terminals()[0])
-	return core.Optimize(rt, buslib.Default(), core.Options{Repeaters: true, Obs: rec, Profile: true})
+	return core.Optimize(rt, buslib.Default(), core.Options{Repeaters: true, Obs: reg, Profile: true})
 }
 
 // ProfileMSRI runs one committed MSRI workload ("msri/12pin" form) and
@@ -148,12 +144,8 @@ func msriWorkload(pins int) workload {
 	return workload{
 		name: MSRIWorkloadName(pins),
 		run: func(reg *obs.Registry) (map[string]int64, error) {
-			var rec obs.Recorder
-			if reg != nil {
-				rec = reg
-			}
 			sp := reg.StartSpan("msri/optimize")
-			res, err := msriRun(pins, rec)
+			res, err := msriRun(pins, reg)
 			if err != nil {
 				return nil, err
 			}

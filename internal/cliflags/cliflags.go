@@ -13,7 +13,7 @@
 //	defer func() {
 //		if err := run.Close(); err != nil { ... }   // flush metrics/trace/memprofile
 //	}()
-//	reg, rec := run.Reg, run.Recorder()
+//	reg := run.Reg   // nil unless some consumer needs it
 //
 // Start and Close mirror the lifecycle the commands previously open-
 // coded: Start begins the CPU profile, creates the registry only when
@@ -89,7 +89,7 @@ func Register(fs *flag.FlagSet, caps Caps) *Set {
 // Run is the live observability state of one command invocation.
 type Run struct {
 	// Reg is the metrics registry, or nil when no flag asked for one
-	// (and Caps.AlwaysRegistry is off). Nil is a valid Recorder sink.
+	// (and Caps.AlwaysRegistry is off). Nil is a valid sink.
 	Reg *obs.Registry
 	// Tracer is the ring tracer behind -trace-events, or nil.
 	Tracer *trc.Tracer
@@ -130,16 +130,6 @@ func (s *Set) listenAddr() string {
 		return ""
 	}
 	return *s.listen
-}
-
-// Recorder converts the possibly-nil registry into a Recorder without
-// producing a typed-nil interface surprise at call sites that compare
-// against nil.
-func (r *Run) Recorder() obs.Recorder {
-	if r.Reg == nil {
-		return nil
-	}
-	return r.Reg
 }
 
 // Close flushes everything in the order the commands relied on: stop

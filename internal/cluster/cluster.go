@@ -96,10 +96,6 @@ type Params struct {
 	// Fanout is how many view peers each round exchanges with
 	// (default 3).
 	Fanout int
-	// Alpha/Beta/Gamma split the next view's candidate slots between
-	// pushed-in peers, pulled views and the history sample, Brahms
-	// style (default 0.45/0.45/0.10). They should sum to 1.
-	Alpha, Beta, Gamma float64
 	// SuspectAfter drops a peer from the view after this many
 	// consecutive failed exchanges (default 2).
 	SuspectAfter int
@@ -122,9 +118,6 @@ func (p Params) withDefaults() Params {
 	}
 	if p.Fanout <= 0 {
 		p.Fanout = 3
-	}
-	if p.Alpha == 0 && p.Beta == 0 && p.Gamma == 0 {
-		p.Alpha, p.Beta, p.Gamma = 0.45, 0.45, 0.10
 	}
 	if p.SuspectAfter <= 0 {
 		p.SuspectAfter = 2
@@ -161,10 +154,6 @@ type Config struct {
 	Reg *obs.Registry
 	// Logger receives membership-change lines; slog.Default when nil.
 	Logger *slog.Logger
-	// WallClock overrides the wall-clock readings stamped into
-	// heartbeats (Info.WallMs) and witness records (StateBody.HeardMs);
-	// tests pin it, production uses time.Now.
-	WallClock func() time.Time
 }
 
 // entry is the node's bookkeeping around one view member.
@@ -290,20 +279,11 @@ func (n *Node) IsSelf(id ID) bool { return id == n.cfg.Self.ID }
 // selfInfoLocked stamps a fresh heartbeat with the daemon's live
 // health and load.
 func (n *Node) selfInfoLocked() Info {
-	info := Info{Peer: n.cfg.Self, Seq: n.cfg.Epoch + n.tick, WallMs: n.wallMs()}
+	info := Info{Peer: n.cfg.Self, Seq: n.cfg.Epoch + n.tick, WallMs: time.Now().UnixMilli()}
 	if n.local != nil {
 		info.Ready, info.Load = n.local.Status()
 	}
 	return info
-}
-
-// wallMs reads the node's wall clock in Unix milliseconds (injectable
-// for tests via Config.WallClock).
-func (n *Node) wallMs() int64 {
-	if n.cfg.WallClock != nil {
-		return n.cfg.WallClock().UnixMilli()
-	}
-	return time.Now().UnixMilli()
 }
 
 // Members returns the live membership — this node plus its view —

@@ -14,6 +14,15 @@ type GossipMsg struct {
 	View View `json:"view"`
 }
 
+// The Brahms view-mix split: the fractions of the next view's candidate
+// slots drawn from pushed-in peers (α), pulled views (β) and the
+// history sample (γ).
+const (
+	mixAlpha = 0.45
+	mixBeta  = 0.45
+	mixGamma = 0.10
+)
+
 // exchangeTimeout bounds one gossip exchange so a dead peer costs a
 // round at most this much wall clock.
 const exchangeTimeout = 2 * time.Second
@@ -129,7 +138,7 @@ func (n *Node) recordHistLocked(info Info) {
 		n.lastAdvance[info.ID] = n.tick
 		// Witness stamp: our wall clock at the moment this peer's
 		// heartbeat advanced, paired with the WallMs the peer put in it.
-		n.heardMs[info.ID] = n.wallMs()
+		n.heardMs[info.ID] = time.Now().UnixMilli()
 		// An advancing heartbeat proves the peer is alive, even when our
 		// own exchanges with it fail (one cut link, not a dead process):
 		// gossip relayed through third parties clears the suspicion.
@@ -193,7 +202,7 @@ func (n *Node) mixLocked(pushes []Info, pulls []View) {
 	}
 
 	// α: peers that pushed to us.
-	take(append([]Info(nil), pushes...), slots(n.prm.Alpha))
+	take(append([]Info(nil), pushes...), slots(mixAlpha))
 	// β: peers from the views we pulled.
 	var pulled []Info
 	for _, v := range pulls {
@@ -207,14 +216,14 @@ func (n *Node) mixLocked(pushes []Info, pulls []View) {
 		}
 		return pulled[i].Seq > pulled[j].Seq
 	})
-	take(pulled, slots(n.prm.Beta))
+	take(pulled, slots(mixBeta))
 	// γ: a uniform sample of everyone ever seen.
 	histPool := make([]Info, 0, len(n.hist))
 	for _, info := range n.hist {
 		histPool = append(histPool, info)
 	}
 	sort.Slice(histPool, func(i, j int) bool { return histPool[i].ID < histPool[j].ID })
-	take(histPool, slots(n.prm.Gamma))
+	take(histPool, slots(mixGamma))
 
 	// Carry over current members not re-drawn this round (keeps the
 	// view stable in small fleets where one round's sample is sparse),

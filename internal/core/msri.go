@@ -75,7 +75,7 @@ type Options struct {
 	// before and after pruning, PWL segment-count histograms, and prune
 	// call/drop counters keyed by pruner kind. A nil Obs keeps the hot
 	// paths allocation-free.
-	Obs obs.Recorder
+	Obs *obs.Registry
 	// Context, when non-nil, is polled at every node visit and prune
 	// call; once it is canceled or past its deadline the run unwinds and
 	// Optimize returns an error wrapping ctx.Err() (test with
@@ -176,7 +176,7 @@ func Optimize(rt *topo.Rooted, tech buslib.Tech, opt Options) (*Result, error) {
 		return nil, fmt.Errorf("core: CoarseEps %v must be a finite non-negative number", opt.CoarseEps)
 	}
 	d := &dp{rt: rt, tech: tech, opt: opt, ev: newSink(t, opt)}
-	span := obs.Start(opt.Obs, "msri/solve")
+	span := opt.Obs.StartSpan("msri/solve")
 	defer span.End()
 	// Root: single child (root is a leaf terminal).
 	children := rt.Children[rt.Root]

@@ -11,7 +11,7 @@ import (
 )
 
 // TestOptimizeRecordsMetrics is the end-to-end instrumentation check of
-// the issue: a 16-terminal net run with a live Recorder must produce
+// the issue: a 16-terminal net run with a live registry must produce
 // non-zero prune counters, solution-set-size histograms and PWL-segment
 // histograms, the "msri/solve" span, and a snapshot consistent with the
 // returned Stats.

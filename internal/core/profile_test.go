@@ -43,7 +43,7 @@ var optionMix = []mixCase{
 
 // allOn is the instrumentation the reconciliation checks run under:
 // every channel live at once.
-func allOn(reg obs.Recorder, tcr *trace.Tracer) Options {
+func allOn(reg *obs.Registry, tcr *trace.Tracer) Options {
 	return Options{Obs: reg, Trace: tcr, TraceArgs: []trace.Arg{trace.S("trace_id", "mix")}, Profile: true}
 }
 

@@ -197,7 +197,7 @@ func TestWavefrontReconcilesWithMaxSetSize(t *testing.T) {
 	}
 }
 
-// TestInstrumentationZeroAllocWhenOff is the nil-Recorder fast-path
+// TestInstrumentationZeroAllocWhenOff is the nil-registry fast-path
 // guard: with Options.Obs, Trace and Profile all off, every method of
 // the DP's event sink — the one path each construction, set-forming,
 // prune and subtree-finish site reports through — must not allocate.

@@ -1,22 +1,20 @@
 // Package obs is the zero-dependency observability substrate of the
 // repository: structured counters, gauges and histograms (all atomic, so
-// a future parallel dynamic program can record from many goroutines
-// without locks on the hot path), hierarchical phase spans with
-// wall-time accumulation, and JSON/text snapshots for machine-readable
+// the daemon's concurrent workers record into one registry without
+// locks on the hot path), hierarchical phase spans with wall-time
+// accumulation, and JSON/text snapshots for machine-readable
 // performance tracking.
 //
 // The paper's value is its complexity claims — the linear-time ARD of
 // Fig. 2 and a pruned PWL dynamic program whose practical cost is
 // governed by per-node solution-set sizes and PWL segment counts
-// (Tables I–IV) — so the pipeline packages (core, ard, dominance,
-// experiments) thread a Recorder through their entry points and report
-// exactly those quantities. See DESIGN.md §7 for the metric-to-paper
-// mapping.
+// (Tables I–IV) — so the pipeline packages (core, ard, experiments)
+// take a *Registry at their entry points and report exactly those
+// quantities. See DESIGN.md §7 for the metric-to-paper mapping.
 //
-// A nil Recorder (or a nil *Registry, which Nop returns) is a valid
-// sink: every handle method is nil-safe and allocation-free, so
-// instrumented hot paths cost a predictable nil check when observability
-// is off.
+// A nil *Registry is a valid sink: it hands out nil handles, and every
+// handle method is nil-safe and allocation-free, so instrumented hot
+// paths cost a predictable nil check when observability is off.
 package obs
 
 import (
@@ -26,28 +24,9 @@ import (
 	"sync/atomic"
 )
 
-// Recorder is the instrumentation sink threaded through the MSRI/ARD
-// pipeline. *Registry implements it; callers that receive a possibly-nil
-// Recorder should obtain handles only after a nil check (or via the
-// package-level Start helper for spans).
-type Recorder interface {
-	// Counter returns the named monotonic counter, creating it on first
-	// use.
-	Counter(name string) *Counter
-	// Gauge returns the named gauge, creating it on first use.
-	Gauge(name string) *Gauge
-	// Histogram returns the named histogram, creating it on first use
-	// with the given upper bucket bounds (DefaultBounds when nil). Bounds
-	// are fixed at creation; later calls ignore the argument.
-	Histogram(name string, bounds []float64) *Histogram
-	// StartSpan opens a phase span at the given '/'-separated path; the
-	// span's wall time is accumulated into the span tree on End.
-	StartSpan(path string) *Span
-}
-
-// Registry is the concrete Recorder: a named set of metrics plus a span
-// tree. All methods are safe for concurrent use and nil-safe (a nil
-// *Registry records nothing).
+// Registry is a named set of metrics plus a span tree. All methods are
+// safe for concurrent use and nil-safe (a nil *Registry records
+// nothing).
 type Registry struct {
 	mu       sync.Mutex
 	counters map[string]*Counter
@@ -62,10 +41,6 @@ type Registry struct {
 
 // New returns an empty registry.
 func New() *Registry { return &Registry{} }
-
-// Nop returns a Recorder that records nothing at zero cost: a nil
-// *Registry, whose handles are nil and whose handle methods no-op.
-func Nop() Recorder { return (*Registry)(nil) }
 
 // Counter returns the named counter, creating it on first use.
 func (r *Registry) Counter(name string) *Counter {

@@ -25,16 +25,6 @@ func (r *Registry) StartSpan(path string) *Span {
 	return &Span{reg: r, path: path, start: time.Now()}
 }
 
-// Start opens a span on a possibly-nil Recorder. It exists because
-// calling a method on a nil Recorder interface would panic, while a nil
-// *Span is safe.
-func Start(r Recorder, path string) *Span {
-	if r == nil {
-		return nil
-	}
-	return r.StartSpan(path)
-}
-
 // End closes the span, folding its wall time into the span tree.
 func (s *Span) End() {
 	if s == nil {

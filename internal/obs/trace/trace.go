@@ -62,10 +62,9 @@ func I(key string, v int) Arg { return Arg{Key: key, Val: int64(v)} }
 
 // S builds a string-valued Arg. The value is interned on record, so a
 // bounded vocabulary (site names, outcome classes) is free; unbounded
-// vocabularies (per-request trace IDs) grow the intern table one entry
-// per distinct value until the tracer's intern cap, after which new
-// strings collapse to "(interned-overflow)" — the ring stays bounded
-// regardless.
+// vocabularies (per-request trace IDs) grow the intern table until it
+// is rebuilt from the strings the ring still references, so the table
+// stays bounded by what the ring holds.
 func S(key, val string) Arg { return Arg{Key: key, Str: val, IsStr: true} }
 
 // maxArgs is the per-event argument capacity. Events carrying more are
@@ -108,10 +107,12 @@ type Tracer struct {
 	next  int    // overwrite cursor, meaningful once the ring is full
 	total uint64 // events ever recorded (total − len kept = dropped)
 
-	// Interning table for names, categories and arg keys. The vocabulary
-	// is the set of instrumentation sites, a few dozen strings at most.
-	strs []string
-	ids  map[string]uint32
+	// Interning table for names, categories, arg keys and string arg
+	// values. Once it reaches internLimit strings, record rebuilds it
+	// from the strings the ring still references (compact).
+	strs        []string
+	ids         map[string]uint32
+	internLimit int
 }
 
 // New returns a tracer with the given ring capacity (DefaultCapacity
@@ -122,22 +123,19 @@ func New(capacity int) *Tracer {
 		capacity = DefaultCapacity
 	}
 	return &Tracer{
-		start: time.Now(),
-		slots: make([]slot, 0, capacity),
-		ids:   make(map[string]uint32),
+		start:       time.Now(),
+		slots:       make([]slot, 0, capacity),
+		ids:         make(map[string]uint32),
+		internLimit: maxInterned,
 	}
 }
 
-// maxInterned caps the interning table. Event names, categories and
-// arg keys are a few dozen strings, but string arg *values* include
-// per-request trace IDs, which are unbounded over a daemon's lifetime;
-// the cap turns that into a bounded (≈2 MB worst-case) table instead
-// of a slow leak. Strings arriving past the cap all map to one
-// overflow id.
+// maxInterned is the intern-table size that triggers a rebuild. Event
+// names, categories and arg keys are a few dozen strings, but string
+// arg *values* include per-request trace IDs, which are unbounded over
+// a daemon's lifetime; rebuilding from the live ring turns that into a
+// bounded table instead of a slow leak.
 const maxInterned = 1 << 16
-
-// internedOverflow replaces string values interned past the cap.
-const internedOverflow = "(interned-overflow)"
 
 // intern maps a string to its stable id, assigning one on first sight.
 // Callers must hold t.mu. Lookups of known strings do not allocate,
@@ -146,14 +144,34 @@ func (t *Tracer) intern(s string) uint32 {
 	if id, ok := t.ids[s]; ok {
 		return id
 	}
-	if len(t.strs) >= maxInterned-1 && s != internedOverflow {
-		// Table full: reserve the last slot for the overflow marker.
-		return t.intern(internedOverflow)
-	}
 	id := uint32(len(t.strs))
 	t.strs = append(t.strs, s)
 	t.ids[s] = id
 	return id
+}
+
+// compact rebuilds the intern table from the strings the retained
+// slots reference, renumbering their ids; strings only overwritten
+// events used are forgotten. The next rebuild waits until the table
+// has doubled past what survived (and at least maxInterned), so the
+// cost amortizes to O(1) per interned string even when the ring holds
+// more distinct strings than maxInterned. Callers must hold t.mu.
+func (t *Tracer) compact() {
+	old := t.strs
+	t.strs = make([]string, 0, len(old)/2)
+	t.ids = make(map[string]uint32, len(old)/2)
+	for i := range t.slots {
+		sl := &t.slots[i]
+		sl.name = t.intern(old[sl.name])
+		sl.cat = t.intern(old[sl.cat])
+		for a := 0; a < int(sl.nargs); a++ {
+			sl.keys[a] = t.intern(old[sl.keys[a]])
+			if sl.strMask&(1<<a) != 0 {
+				sl.vals[a] = int64(t.intern(old[sl.vals[a]]))
+			}
+		}
+	}
+	t.internLimit = max(maxInterned, 2*len(t.strs))
 }
 
 // Enabled reports whether events will actually be kept; it lets callers
@@ -204,6 +222,11 @@ func (t *Tracer) record(name, cat string, phase byte, ts, dur time.Duration, arg
 		n = maxArgs
 	}
 	t.mu.Lock()
+	// Rebuild before interning this event's strings, so none of its
+	// fresh ids is renumbered under it.
+	if len(t.strs)+2+2*n > t.internLimit {
+		t.compact()
+	}
 	var sl slot
 	sl.name = t.intern(name)
 	sl.cat = t.intern(cat)
@@ -359,7 +382,7 @@ func eventHasTrace(ev Event, traceID string) bool {
 
 // writeEvent renders one event. All events share pid/tid 1: regions are
 // self-contained 'X' slices, so no begin/end pairing across tracks is
-// needed; parallel-mode slices simply interleave on the single track.
+// needed; concurrent jobs' slices simply interleave on the single track.
 func writeEvent(bw *bufio.Writer, ev Event) error {
 	bw.WriteString(`{"name":`)
 	bw.WriteString(quote(ev.Name))

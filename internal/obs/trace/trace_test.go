@@ -3,6 +3,7 @@ package trace
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -255,5 +256,52 @@ func TestWriteJSONFilter(t *testing.T) {
 	}
 	if got := events("t-404"); len(got) != 0 {
 		t.Errorf("filter t-404: %v", got)
+	}
+}
+
+// TestInternTableRebuildsFromLiveRing: a daemon tags every job's events
+// with two fresh strings (trace_id and job), so a long-running tracer
+// sees far more distinct strings than the intern threshold. Past it the
+// table must be rebuilt from what the ring still holds: new trace IDs
+// and first-seen event names keep resolving verbatim, every retained
+// event keeps its own strings, and the table stays bounded.
+func TestInternTableRebuildsFromLiveRing(t *testing.T) {
+	const jobs = 40000
+	tr := New(64)
+	for i := 0; i < jobs; i++ {
+		tr.Instant("dp/leaf", "core", S("trace_id", fmt.Sprintf("t-%d", i)), S("job", fmt.Sprintf("j-%d", i)), I("node", i))
+	}
+	tr.Instant("dp/wavefront", "core", S("trace_id", "t-new"))
+
+	var buf bytes.Buffer
+	if err := tr.WriteJSONFilter(&buf, fmt.Sprintf("t-%d", jobs-1)); err != nil {
+		t.Fatal(err)
+	}
+	var doc struct {
+		TraceEvents []json.RawMessage `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
+		t.Fatal(err)
+	}
+	if len(doc.TraceEvents) != 1 {
+		t.Fatalf("newest trace ID matched %d events, want 1", len(doc.TraceEvents))
+	}
+
+	evs := tr.Events()
+	if len(evs) != 64 {
+		t.Fatalf("retained %d events, want 64", len(evs))
+	}
+	for k, ev := range evs[:63] {
+		i := jobs - 63 + k
+		if ev.Name != "dp/leaf" || ev.Cat != "core" ||
+			ev.Args[0].Str != fmt.Sprintf("t-%d", i) || ev.Args[1].Str != fmt.Sprintf("j-%d", i) || ev.Args[2].Val != int64(i) {
+			t.Fatalf("event %d resolved to %+v, want job %d", k, ev, i)
+		}
+	}
+	if last := evs[63]; last.Name != "dp/wavefront" || last.Args[0].Str != "t-new" {
+		t.Fatalf("first-seen event recorded as %+v", last)
+	}
+	if n := len(tr.strs); n > maxInterned {
+		t.Fatalf("intern table holds %d strings, want at most %d", n, maxInterned)
 	}
 }

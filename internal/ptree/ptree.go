@@ -26,25 +26,14 @@ import (
 	"msrnet/internal/topo"
 )
 
-// Options controls synthesis.
-type Options struct {
-	// MaxHananTerminals bounds the net size for which the full Hanan
+const (
+	// maxHananTerminals bounds the net size for which the full Hanan
 	// grid is used as the candidate set; larger nets use the terminal
-	// locations only. Default 10.
-	MaxHananTerminals int
-	// TwoOptRounds bounds tour improvement passes. Default 20.
-	TwoOptRounds int
-}
-
-func (o Options) withDefaults() Options {
-	if o.MaxHananTerminals <= 0 {
-		o.MaxHananTerminals = 10
-	}
-	if o.TwoOptRounds <= 0 {
-		o.TwoOptRounds = 20
-	}
-	return o
-}
+	// locations only.
+	maxHananTerminals = 10
+	// twoOptRounds bounds the tour improvement passes of WirelengthTree.
+	twoOptRounds = 20
+)
 
 // Order returns a tour order of the points: nearest-neighbor
 // construction followed by 2-opt improvement under the rectilinear
@@ -72,13 +61,6 @@ func Order(pts []geom.Point, rounds int) []int {
 		cur = best
 	}
 	// 2-opt on the open tour.
-	tourLen := func(ord []int) float64 {
-		var l float64
-		for i := 1; i < len(ord); i++ {
-			l += geom.Dist(pts[ord[i-1]], pts[ord[i]])
-		}
-		return l
-	}
 	for round := 0; round < rounds; round++ {
 		improved := false
 		for i := 0; i < n-1; i++ {
@@ -105,24 +87,22 @@ func Order(pts []geom.Point, rounds int) []int {
 			break
 		}
 	}
-	_ = tourLen
 	return order
 }
 
 // WirelengthTree runs the interval DP and returns the minimum-wirelength
 // P-Tree topology over the given candidate order.
-func WirelengthTree(pts []geom.Point, opt Options) rsmt.Tree {
-	opt = opt.withDefaults()
+func WirelengthTree(pts []geom.Point) rsmt.Tree {
 	if len(pts) < 2 {
 		panic("ptree: need at least two terminals")
 	}
-	order := Order(pts, opt.TwoOptRounds)
-	return dpTree(pts, order, candidates(pts, opt))
+	order := Order(pts, twoOptRounds)
+	return dpTree(pts, order, candidates(pts))
 }
 
 // candidates picks the internal-node candidate set.
-func candidates(pts []geom.Point, opt Options) []geom.Point {
-	if len(pts) <= opt.MaxHananTerminals {
+func candidates(pts []geom.Point) []geom.Point {
+	if len(pts) <= maxHananTerminals {
 		return rsmt.HananGrid(pts)
 	}
 	return append([]geom.Point(nil), pts...)
@@ -248,7 +228,7 @@ type Result struct {
 // returned with its full tradeoff suite. insertionSpacing follows the
 // paper's 800 µm rule; pass 0 to skip insertion points.
 func TimingDriven(pts []geom.Point, terms []buslib.Terminal, tech buslib.Tech,
-	insertionSpacing float64, opt Options) (*Result, error) {
+	insertionSpacing float64) (*Result, error) {
 	if len(pts) != len(terms) {
 		return nil, fmt.Errorf("ptree: %d points but %d terminals", len(pts), len(terms))
 	}
@@ -256,7 +236,7 @@ func TimingDriven(pts []geom.Point, terms []buslib.Terminal, tech buslib.Tech,
 		return nil, fmt.Errorf("ptree: need at least two terminals")
 	}
 	cands := []rsmt.Tree{
-		WirelengthTree(pts, opt),
+		WirelengthTree(pts),
 		rsmt.Steiner(pts),
 	}
 	var best *Result

@@ -62,7 +62,7 @@ func TestWirelengthTreeStructure(t *testing.T) {
 	for trial := 0; trial < 20; trial++ {
 		n := 3 + r.Intn(8)
 		pts := randPts(r, n)
-		tr := WirelengthTree(pts, Options{})
+		tr := WirelengthTree(pts)
 		if tr.NumTerminals != n {
 			t.Fatalf("NumTerminals = %d", tr.NumTerminals)
 		}
@@ -110,7 +110,7 @@ func TestWirelengthCompetitiveWithMST(t *testing.T) {
 	worse := 0
 	for trial := 0; trial < 20; trial++ {
 		pts := randPts(r, 4+r.Intn(6))
-		pt := WirelengthTree(pts, Options{})
+		pt := WirelengthTree(pts)
 		mst := rsmt.MST(pts)
 		if pt.Length() > mst.Length()*1.05+1e-9 {
 			worse++
@@ -124,7 +124,7 @@ func TestWirelengthCompetitiveWithMST(t *testing.T) {
 func TestWirelengthBeatsMSTOnCross(t *testing.T) {
 	// The plus-shaped instance where a Steiner point saves 1/3.
 	pts := []geom.Point{geom.Pt(1000, 0), geom.Pt(1000, 2000), geom.Pt(0, 1000), geom.Pt(2000, 1000)}
-	pt := WirelengthTree(pts, Options{})
+	pt := WirelengthTree(pts)
 	if math.Abs(pt.Length()-4000) > 1e-6 {
 		t.Errorf("cross P-Tree length = %g, want 4000", pt.Length())
 	}
@@ -140,7 +140,7 @@ func TestTimingDrivenImprovesOrMatchesBaseline(t *testing.T) {
 		for i := range terms {
 			terms[i] = buslib.DefaultTerminal("t" + string(rune('a'+i)))
 		}
-		res, err := TimingDriven(pts, terms, tech, 800, Options{})
+		res, err := TimingDriven(pts, terms, tech, 800)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -181,14 +181,14 @@ func TestTimingDrivenPicksBestCandidate(t *testing.T) {
 	for i := range terms {
 		terms[i] = buslib.DefaultTerminal("x")
 	}
-	res, err := TimingDriven(pts, terms, tech, 800, Options{})
+	res, err := TimingDriven(pts, terms, tech, 800)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Score both candidates independently and verify the returned one is
 	// the minimum.
 	best := math.Inf(1)
-	for _, st := range []rsmt.Tree{WirelengthTree(pts, Options{}), rsmt.Steiner(pts)} {
+	for _, st := range []rsmt.Tree{WirelengthTree(pts), rsmt.Steiner(pts)} {
 		tr, err := toTopo(st, terms)
 		if err != nil {
 			t.Fatal(err)
@@ -216,11 +216,11 @@ func TestTimingDrivenPicksBestCandidate(t *testing.T) {
 func TestTimingDrivenErrors(t *testing.T) {
 	tech := buslib.Default()
 	if _, err := TimingDriven(randPts(rand.New(rand.NewSource(1)), 3),
-		make([]buslib.Terminal, 2), tech, 800, Options{}); err == nil {
+		make([]buslib.Terminal, 2), tech, 800); err == nil {
 		t.Error("mismatched lengths accepted")
 	}
 	if _, err := TimingDriven([]geom.Point{geom.Pt(0, 0)},
-		make([]buslib.Terminal, 1), tech, 800, Options{}); err == nil {
+		make([]buslib.Terminal, 1), tech, 800); err == nil {
 		t.Error("single terminal accepted")
 	}
 }

@@ -171,24 +171,18 @@ func solveExplain(s core.Stats) *SolveExplain {
 // serialize a report a worker is still writing.
 type jobTable struct {
 	mu     sync.Mutex
-	cap    int
-	done   []*Explain // circular, next is the oldest slot
+	done   [explainRing]*Explain // circular, next is the oldest slot
 	next   int
 	filled bool
 	active map[string]*Explain
 }
 
-// defaultExplainRing bounds the finished-report ring when the config
-// does not say otherwise.
-const defaultExplainRing = 256
+// explainRing bounds the finished msrnet-explain/v1 reports kept for
+// GET /debug/jobs.
+const explainRing = 256
 
-func newJobTable(capacity int) *jobTable {
-	if capacity <= 0 {
-		capacity = defaultExplainRing
-	}
+func newJobTable() *jobTable {
 	return &jobTable{
-		cap:    capacity,
-		done:   make([]*Explain, capacity),
 		active: map[string]*Explain{},
 	}
 }
@@ -232,7 +226,7 @@ func (t *jobTable) record(e *Explain) {
 func (t *jobTable) push(e *Explain) {
 	t.done[t.next] = e
 	t.next++
-	if t.next == t.cap {
+	if t.next == explainRing {
 		t.next, t.filled = 0, true
 	}
 }
@@ -248,10 +242,10 @@ func (t *jobTable) List() (active, recent []Explain) {
 	sort.Slice(active, func(i, j int) bool { return active[i].Seq < active[j].Seq })
 	n := t.next
 	if t.filled {
-		n = t.cap
+		n = explainRing
 	}
 	for i := 0; i < n; i++ {
-		idx := (t.next - 1 - i + t.cap) % t.cap
+		idx := (t.next - 1 - i + explainRing) % explainRing
 		if t.done[idx] != nil {
 			recent = append(recent, *t.done[idx])
 		}
@@ -270,11 +264,11 @@ func (t *jobTable) Get(id string) (Explain, bool) {
 	}
 	n := t.next
 	if t.filled {
-		n = t.cap
+		n = explainRing
 	}
 	var byTrace *Explain
 	for i := 0; i < n; i++ {
-		idx := (t.next - 1 - i + t.cap) % t.cap
+		idx := (t.next - 1 - i + explainRing) % explainRing
 		e := t.done[idx]
 		if e == nil {
 			continue

@@ -74,14 +74,6 @@ type Config struct {
 	// and job id so one shared ring stays separable per job in a
 	// Perfetto view. Served at GET /debug/trace.
 	Tracer *trace.Tracer
-	// ExplainRing bounds the finished msrnet-explain/v1 reports kept for
-	// GET /debug/jobs; defaults to 256.
-	ExplainRing int
-	// SLOWindow/SLOInterval shape the sliding-window latency quantiles
-	// (svc/latency/{queue,solve,e2e}/<outcome>); they default to
-	// obs.DefaultWindow / obs.DefaultInterval.
-	SLOWindow   time.Duration
-	SLOInterval time.Duration
 	// Recorder, when non-nil, is the always-on flight recorder: the
 	// daemon feeds it the live jobs view, fires an automatic postmortem
 	// on recovered worker panics, and serves it at POST /debug/dump and
@@ -245,7 +237,7 @@ func New(cfg Config) *Daemon {
 		reg:        reg,
 		log:        cfg.Logger,
 		cache:      newResultCache(cfg.CacheSize, reg),
-		table:      newJobTable(cfg.ExplainRing),
+		table:      newJobTable(),
 		rec:        newRecoveredTable(),
 		free:       cfg.QueueDepth,
 		submitted:  reg.Counter("svc/jobs_submitted"),
@@ -264,14 +256,13 @@ func New(cfg Config) *Daemon {
 		jobDur:     reg.Histogram("svc/job_ms", LatencyBounds),
 	}
 	d.qcond = sync.NewCond(&d.mu)
-	win, iv := d.sloWindows()
-	d.initTenants(cfg.Tenants, win, iv)
+	d.initTenants(cfg.Tenants)
 	d.lat = make(map[string]latWindows, len(outcomeClasses))
 	for _, class := range outcomeClasses {
 		d.lat[class] = latWindows{
-			queue: reg.Window("svc/latency/queue/"+class, win, iv),
-			solve: reg.Window("svc/latency/solve/"+class, win, iv),
-			e2e:   reg.Window("svc/latency/e2e/"+class, win, iv),
+			queue: reg.Window("svc/latency/queue/"+class, obs.DefaultWindow, obs.DefaultInterval),
+			solve: reg.Window("svc/latency/solve/"+class, obs.DefaultWindow, obs.DefaultInterval),
+			e2e:   reg.Window("svc/latency/e2e/"+class, obs.DefaultWindow, obs.DefaultInterval),
 		}
 	}
 	// Postmortem bundles carry the live jobs view so an incident report
@@ -537,9 +528,6 @@ func (d *Daemon) jobContext(ctx context.Context) (context.Context, context.Cance
 	return context.WithCancel(ctx)
 }
 
-// cacheGet looks up key under the svc/cache/get injection point: an
-// injected fault degrades to a miss (the job recomputes) rather than
-// failing the request.
 // lookupUnlessProfiled consults the result cache, except for profiled
 // requests, which always recompute.
 func (d *Daemon) lookupUnlessProfiled(ctx context.Context, key string, profiled bool) (Result, bool) {
@@ -549,6 +537,9 @@ func (d *Daemon) lookupUnlessProfiled(ctx context.Context, key string, profiled 
 	return d.cacheGet(ctx, key)
 }
 
+// cacheGet looks up key under the svc/cache/get injection point: an
+// injected fault degrades to a miss (the job recomputes) rather than
+// failing the request.
 func (d *Daemon) cacheGet(ctx context.Context, key string) (Result, bool) {
 	_, sp := d.cfg.Spans.Start(ctx, "cache/get")
 	defer sp.End()
@@ -769,13 +760,13 @@ func (d *Daemon) exec(t *task) Result {
 	}
 
 	if j.Mode == "msri" || j.Mode == "both" {
-		// Each job builds its own Options value; only the Recorder is
-		// shared across workers, and the Registry is safe for concurrent
-		// use (see TestOptionsCopiesAreGoroutineSafe).
+		// Each job builds its own Options value; only the registry is
+		// shared across workers, and it is safe for concurrent use
+		// (see TestOptionsCopiesAreGoroutineSafe).
 		opt := core.Options{
 			IncludeSelf: j.Options.IncludeSelf,
 			WireWidths:  append([]float64(nil), j.Options.WireWidths...),
-			Obs:         asRecorder(d.reg),
+			Obs:         d.reg,
 			Trace:       d.cfg.Tracer,
 			TraceArgs:   targs,
 			Profile:     t.profile,
@@ -912,15 +903,6 @@ func termName(tr *topo.Tree, id int) string {
 		return ""
 	}
 	return tr.Node(id).Term.Name
-}
-
-// asRecorder converts a possibly-nil *Registry into a Recorder without
-// the typed-nil interface trap.
-func asRecorder(reg *obs.Registry) obs.Recorder {
-	if reg == nil {
-		return nil
-	}
-	return reg
 }
 
 // StartDrain begins the graceful-shutdown handshake without stopping

@@ -388,7 +388,7 @@ func TestLegacyParallelOptionAccepted(t *testing.T) {
 }
 
 // TestOptionsCopiesAreGoroutineSafe verifies the contract the daemon's
-// workers rely on: copies of one core.Options value, sharing a Recorder and a WireWidths slice, can
+// workers rely on: copies of one core.Options value, sharing a registry and a WireWidths slice, can
 // drive concurrent Optimize runs and reproduce the serial results
 // exactly. Run under -race this also proves the copies introduce no
 // write sharing.

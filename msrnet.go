@@ -168,7 +168,7 @@ func (b *Builder) SynthesizeTimingDriven() (*Net, Suite, error) {
 	if len(b.pts) < 2 {
 		return nil, nil, fmt.Errorf("msrnet: need at least two terminals, got %d", len(b.pts))
 	}
-	res, err := ptree.TimingDriven(b.pts, b.terms, b.tech, InsertionSpacing, ptree.Options{})
+	res, err := ptree.TimingDriven(b.pts, b.terms, b.tech, InsertionSpacing)
 	if err != nil {
 		return nil, nil, err
 	}
