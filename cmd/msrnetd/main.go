@@ -62,7 +62,7 @@ func main() {
 		shedMargin = flag.Duration("shed-margin", 0, "shed jobs at dequeue whose remaining deadline is below this margin (0 = disable shedding)")
 		faults     = flag.String("faults", "", "fault-injection spec for chaos testing, e.g. 'svc/worker:panic:0.1;svc/cache/get:error:0.5' (also via "+faultinject.EnvFaults+")")
 		faultSeed  = flag.Int64("fault-seed", 1, "fault-injection RNG seed (also via "+faultinject.EnvSeed+")")
-		recEvery   = flag.Duration("recorder-interval", recorder.DefaultInterval, "flight-recorder sampling interval; the in-memory ring keeps the last "+fmt.Sprint(recorder.DefaultCapacity)+" samples")
+		recEvery   = flag.Duration("recorder-interval", recorder.DefaultInterval, "flight-recorder sampling interval; the in-memory ring keeps the last "+fmt.Sprint(recorder.Capacity)+" samples")
 		clAddr     = flag.String("cluster-addr", "", "advertised base URL of THIS daemon (e.g. http://10.0.0.1:8383); enables fleet clustering — gossip membership, the cluster-wide shard cache and work-stealing (DESIGN.md §13)")
 		clPeers    = flag.String("cluster-peers", "", "comma-separated base URLs of seed peers to join through (any live member works)")
 		clEvery    = flag.Duration("cluster-interval", time.Second, "gossip round period")

@@ -59,7 +59,7 @@ func startHTTPFleet(t *testing.T, n int) []*fleetMember {
 		node := cluster.NewNode(cluster.Config{
 			Self:      cluster.Peer{ID: cluster.ID(bases[i]), Addr: bases[i]},
 			Seeds:     seeds,
-			Params:    cluster.Params{ViewSize: 8, Fanout: 2, SuspectAfter: 2, StaleTicks: 4},
+			Params:    cluster.Params{ViewSize: 8, Fanout: 2},
 			Transport: &cluster.HTTPTransport{},
 			Seed:      int64(i + 1),
 			Epoch:     int64(i+1) * 1000,

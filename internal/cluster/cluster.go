@@ -89,6 +89,18 @@ func (v View) merge(in Info) bool {
 	return true
 }
 
+// Failure detection is fixed, not tuned per deployment.
+const (
+	// suspectAfter drops a peer from the view after this many
+	// consecutive failed exchanges.
+	suspectAfter = 2
+	// staleTicks drops (and refuses to readmit) a peer whose heartbeat
+	// Seq has not advanced for this many local rounds — how a dead
+	// peer's echo is purged even though live peers keep gossiping its
+	// last Info.
+	staleTicks = 8
+)
+
 // Params tunes the gossip core. The zero value takes the defaults.
 type Params struct {
 	// ViewSize bounds the local view (default 16).
@@ -96,14 +108,6 @@ type Params struct {
 	// Fanout is how many view peers each round exchanges with
 	// (default 3).
 	Fanout int
-	// SuspectAfter drops a peer from the view after this many
-	// consecutive failed exchanges (default 2).
-	SuspectAfter int
-	// StaleTicks drops (and refuses to readmit) a peer whose heartbeat
-	// Seq has not advanced for this many local rounds — how a dead
-	// peer's echo is purged even though live peers keep gossiping its
-	// last Info (default 8).
-	StaleTicks int
 	// Vnodes is the virtual-node count per member on the consistent-
 	// hash ring (default 64).
 	Vnodes int
@@ -118,12 +122,6 @@ func (p Params) withDefaults() Params {
 	}
 	if p.Fanout <= 0 {
 		p.Fanout = 3
-	}
-	if p.SuspectAfter <= 0 {
-		p.SuspectAfter = 2
-	}
-	if p.StaleTicks <= 0 {
-		p.StaleTicks = 8
 	}
 	if p.Vnodes <= 0 {
 		p.Vnodes = 64

@@ -151,7 +151,7 @@ func (n *Node) recordHistLocked(info Info) {
 // admissibleLocked reports whether a candidate may (re)enter the view:
 // its heartbeat must have advanced within the staleness window. A dead
 // peer's echo keeps its last Seq forever and is fenced out once every
-// node has seen no advance for StaleTicks rounds.
+// node has seen no advance for staleTicks rounds.
 func (n *Node) admissibleLocked(info Info) bool {
 	if info.ID == "" || info.ID == n.cfg.Self.ID {
 		return false
@@ -162,7 +162,7 @@ func (n *Node) admissibleLocked(info Info) bool {
 		// Admit it and let the fence judge it from here on.
 		return true
 	}
-	return n.tick-last <= int64(n.prm.StaleTicks)
+	return n.tick-last <= staleTicks
 }
 
 // mixLocked computes the next view from this round's evidence.
@@ -245,7 +245,7 @@ func (n *Node) mixLocked(pushes []Info, pulls []View) {
 		}
 	}
 	for id, e := range next {
-		if e.fails >= n.prm.SuspectAfter || !n.admissibleLocked(e.info) {
+		if e.fails >= suspectAfter || !n.admissibleLocked(e.info) {
 			delete(next, id)
 			n.removed.Inc()
 			n.log.Info("cluster: peer removed", "peer", id, "fails", e.fails, "seq", e.info.Seq)

@@ -39,7 +39,7 @@ func newTestFleet(t *testing.T, n int) (*MemTransport, []*Node) {
 		nodes[i] = NewNode(Config{
 			Self:      peers[i],
 			Seeds:     []Peer{peers[(i+1)%n]},
-			Params:    Params{ViewSize: 8, Fanout: 2, SuspectAfter: 2, StaleTicks: 4},
+			Params:    Params{ViewSize: 8, Fanout: 2},
 			Transport: tr,
 			Seed:      int64(i + 1),
 			Epoch:     int64(i+1) * 1000,
@@ -182,7 +182,7 @@ func TestGossipRejoinAfterRevive(t *testing.T) {
 	revived := NewNode(Config{
 		Self:      Peer{ID: "n2", Addr: "mem://n2"},
 		Seeds:     []Peer{{ID: "n0", Addr: "mem://n0"}},
-		Params:    Params{ViewSize: 8, Fanout: 2, SuspectAfter: 2, StaleTicks: 4},
+		Params:    Params{ViewSize: 8, Fanout: 2},
 		Transport: tr,
 		Seed:      99,
 		Epoch:     1_000_000,

@@ -95,6 +95,48 @@ func TestNoAdHocLoggingInLibraries(t *testing.T) {
 	}
 }
 
+// servingPath lists the packages of msrnetd's job path, whose phases the
+// span index (internal/obs/spans) times.
+var servingPath = []string{"internal/service", "internal/jobstore"}
+
+// TestOneTimerPerPhaseInServingPath enforces one span model per
+// process on the job path: each phase is timed once, by the span index
+// that serves explain summaries, /debug/spans and the fleet collector.
+// A registry span (obs.Registry.StartSpan) at the same call site would
+// time the phase a second time under another name. Tests are exempt.
+func TestOneTimerPerPhaseInServingPath(t *testing.T) {
+	root := moduleRoot(t)
+	for _, dir := range servingPath {
+		files, err := filepath.Glob(filepath.Join(root, dir, "*.go"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(files) == 0 {
+			t.Fatalf("%s: no Go files", dir)
+		}
+		for _, path := range files {
+			if strings.HasSuffix(path, "_test.go") {
+				continue
+			}
+			fset := token.NewFileSet()
+			f, err := parser.ParseFile(fset, path, nil, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ast.Inspect(f, func(n ast.Node) bool {
+				if call, ok := n.(*ast.CallExpr); ok {
+					if sel, ok := call.Fun.(*ast.SelectorExpr); ok && sel.Sel.Name == "StartSpan" {
+						rel, _ := filepath.Rel(root, path)
+						t.Errorf("%s:%d: StartSpan times a job phase the span index already times — use Config.Spans.Start",
+							rel, fset.Position(call.Pos()).Line)
+					}
+				}
+				return true
+			})
+		}
+	}
+}
+
 // moduleRoot walks up from the test's working directory to go.mod.
 func moduleRoot(t *testing.T) string {
 	t.Helper()

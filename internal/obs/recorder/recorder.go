@@ -32,9 +32,18 @@ import (
 // Defaults for Config zero values.
 const (
 	DefaultInterval   = time.Second
-	DefaultCapacity   = 512 // ~8.5 minutes of history at the default interval
 	DefaultMaxBundles = 8
-	DefaultCooldown   = time.Minute
+)
+
+// Fixed bounds of every recorder.
+const (
+	// Capacity bounds the sample ring: ~8.5 minutes of history at the
+	// default interval.
+	Capacity = 512
+	// cooldown is the minimum spacing between automatic bundles (panic,
+	// SLO burn), so a crash-looping worker or a flapping rule cannot
+	// churn the disk. Manual and SIGQUIT triggers ignore it.
+	cooldown = time.Minute
 )
 
 // Trigger reasons. Panic and SLO-burn triggers are automatic and
@@ -57,8 +66,6 @@ type Config struct {
 	Tracer *trace.Tracer
 	// Interval is the sampling period (DefaultInterval when <= 0).
 	Interval time.Duration
-	// Capacity bounds the ring (DefaultCapacity when <= 0).
-	Capacity int
 	// Rules are the SLO burn-rate rules evaluated every tick; a rising
 	// edge (not-firing -> firing) triggers a bundle.
 	Rules []Rule
@@ -68,11 +75,6 @@ type Config struct {
 	// MaxBundles bounds retention in Dir: after each write the oldest
 	// bundles beyond this count are deleted (DefaultMaxBundles when <= 0).
 	MaxBundles int
-	// Cooldown is the minimum spacing between automatic bundles (panic,
-	// SLO burn), so a crash-looping worker or a flapping rule cannot
-	// churn the disk (DefaultCooldown when <= 0). Manual and SIGQUIT
-	// triggers ignore it.
-	Cooldown time.Duration
 	// Info is embedded verbatim in bundle manifests — the daemon's
 	// config and build identification.
 	Info any
@@ -130,14 +132,8 @@ func New(cfg Config) *FlightRecorder {
 	if cfg.Interval <= 0 {
 		cfg.Interval = DefaultInterval
 	}
-	if cfg.Capacity <= 0 {
-		cfg.Capacity = DefaultCapacity
-	}
 	if cfg.MaxBundles <= 0 {
 		cfg.MaxBundles = DefaultMaxBundles
-	}
-	if cfg.Cooldown <= 0 {
-		cfg.Cooldown = DefaultCooldown
 	}
 	if cfg.Logger == nil {
 		cfg.Logger = slog.Default()
@@ -145,7 +141,7 @@ func New(cfg Config) *FlightRecorder {
 	f := &FlightRecorder{
 		cfg:      cfg,
 		log:      cfg.Logger,
-		ring:     make([]Sample, 0, cfg.Capacity),
+		ring:     make([]Sample, 0, Capacity),
 		stop:     make(chan struct{}),
 		done:     make(chan struct{}),
 		samples:  cfg.Reg.Counter("recorder/samples"),
@@ -365,7 +361,7 @@ func (f *FlightRecorder) State(n int) State {
 	return State{
 		Schema:     BundleSchema,
 		IntervalMs: f.cfg.Interval.Milliseconds(),
-		Capacity:   f.cfg.Capacity,
+		Capacity:   Capacity,
 		Ticks:      ticks,
 		Rules:      f.RuleStates(),
 		Samples:    f.Samples(n),
@@ -409,7 +405,7 @@ func (f *FlightRecorder) triggerLocked(reason, detail string, force bool) (strin
 	}
 	now := time.Now()
 	f.mu.Lock()
-	if !force && now.Sub(f.lastAut) < f.cfg.Cooldown && !f.lastAut.IsZero() {
+	if !force && now.Sub(f.lastAut) < cooldown && !f.lastAut.IsZero() {
 		f.mu.Unlock()
 		return "", errCooldown
 	}

@@ -62,27 +62,28 @@ func TestParseRulesRejects(t *testing.T) {
 
 func TestRingBounded(t *testing.T) {
 	reg := obs.New()
-	f := New(Config{Reg: reg, Capacity: 4, Interval: time.Hour, Logger: quiet()})
+	f := New(Config{Reg: reg, Interval: time.Hour, Logger: quiet()})
+	const ticks = Capacity + 6
 	base := time.Now()
-	for i := 0; i < 10; i++ {
+	for i := 0; i < ticks; i++ {
 		reg.Counter("tick").Inc()
 		f.tick(base.Add(time.Duration(i) * time.Second))
 	}
 	got := f.Samples(0)
-	if len(got) != 4 {
-		t.Fatalf("ring has %d samples, want capacity 4", len(got))
+	if len(got) != Capacity {
+		t.Fatalf("ring has %d samples, want capacity %d", len(got), Capacity)
 	}
-	// Oldest-first: the retained samples are ticks 6..9.
+	// Oldest-first: the retained samples are ticks 6..ticks-1.
 	for i, s := range got {
 		if want := int64(7 + i); s.Metrics.Counters["tick"] != want {
 			t.Fatalf("sample %d has tick=%d, want %d", i, s.Metrics.Counters["tick"], want)
 		}
 	}
-	if last2 := f.Samples(2); len(last2) != 2 || last2[1].Metrics.Counters["tick"] != 10 {
+	if last2 := f.Samples(2); len(last2) != 2 || last2[1].Metrics.Counters["tick"] != ticks {
 		t.Fatalf("Samples(2) = %d samples ending %v", len(last2), last2)
 	}
 	st := f.State(3)
-	if st.Ticks != 10 || len(st.Samples) != 3 || st.Capacity != 4 {
+	if st.Ticks != ticks || len(st.Samples) != 3 || st.Capacity != Capacity {
 		t.Fatalf("State: ticks=%d samples=%d cap=%d", st.Ticks, len(st.Samples), st.Capacity)
 	}
 }
@@ -241,7 +242,7 @@ func TestTriggerWritesBundleAndRetention(t *testing.T) {
 
 func TestTriggerAutoCooldown(t *testing.T) {
 	dir := t.TempDir()
-	f := New(Config{Reg: obs.New(), Dir: dir, Interval: time.Hour, Cooldown: time.Hour, Logger: quiet()})
+	f := New(Config{Reg: obs.New(), Dir: dir, Interval: time.Hour, Logger: quiet()})
 	f.tick(time.Now())
 	d1, err := f.TriggerAuto(ReasonPanic, "first")
 	if err != nil || d1 == "" {

@@ -103,20 +103,19 @@ type Options struct {
 	// Process is this process's identity on cross-process span links —
 	// the cluster self ID for a fleet member, a stable label otherwise.
 	Process string
-	// MaxTraces bounds how many distinct traces the index retains; the
-	// least-recently-touched trace is evicted first (0 = 256).
-	MaxTraces int
-	// MaxSpans bounds the spans kept per trace; overflow is counted as
-	// dropped, never blocks (0 = 512).
-	MaxSpans int
 	// Now overrides the clock (tests). It must be safe for concurrent
 	// use; the default is time.Now.
 	Now func() time.Time
 }
 
+// Fixed bounds of every index.
 const (
-	defaultMaxTraces = 256
-	defaultMaxSpans  = 512
+	// maxTraces bounds how many distinct traces the index retains; the
+	// least-recently-touched trace is evicted first.
+	maxTraces = 256
+	// maxSpans bounds the spans kept per trace; overflow is counted as
+	// dropped, never blocks.
+	maxSpans = 512
 )
 
 // Index is the bounded per-process span store: spans land here on End,
@@ -124,10 +123,8 @@ const (
 // via GET /debug/spans/{traceID}, explain summaries and postmortem
 // bundles. All methods are safe for concurrent use and nil-safe.
 type Index struct {
-	process   string
-	maxTraces int
-	maxSpans  int
-	now       func() time.Time
+	process string
+	now     func() time.Time
 
 	// Wall anchor: timestamps are originWallNs + (now() − origin), so
 	// with the real clock they inherit time.Time's monotonic reading —
@@ -151,22 +148,14 @@ type traceBuf struct {
 
 // NewIndex builds an empty span index.
 func NewIndex(o Options) *Index {
-	if o.MaxTraces <= 0 {
-		o.MaxTraces = defaultMaxTraces
-	}
-	if o.MaxSpans <= 0 {
-		o.MaxSpans = defaultMaxSpans
-	}
 	if o.Now == nil {
 		o.Now = time.Now
 	}
 	origin := o.Now()
 	return &Index{
-		process:   o.Process,
-		maxTraces: o.MaxTraces,
-		maxSpans:  o.MaxSpans,
-		now:       o.Now,
-		origin:    origin,
+		process: o.Process,
+		now:     o.Now,
+		origin:  origin,
 		// Round-trip through UnixNano strips nothing: the anchor is the
 		// wall half, the monotonic half rides on origin itself.
 		originWallNs: origin.UnixNano(),
@@ -323,7 +312,7 @@ func (x *Index) add(traceID string, rec Record) {
 	defer x.mu.Unlock()
 	tb, ok := x.traces[traceID]
 	if !ok {
-		if len(x.traces) >= x.maxTraces {
+		if len(x.traces) >= maxTraces {
 			x.evictLocked()
 		}
 		tb = &traceBuf{}
@@ -331,7 +320,7 @@ func (x *Index) add(traceID string, rec Record) {
 	}
 	x.touch++
 	tb.touch = x.touch
-	if len(tb.spans) >= x.maxSpans {
+	if len(tb.spans) >= maxSpans {
 		tb.dropped++
 		return
 	}

@@ -185,15 +185,15 @@ func TestExportIsByteIdentical(t *testing.T) {
 }
 
 func TestPerTraceSpanBoundCountsDrops(t *testing.T) {
-	x := testIndex(t, Options{MaxSpans: 4})
+	x := testIndex(t, Options{})
 	ctx := traced("0123456789abcdef")
-	for i := 0; i < 10; i++ {
+	for i := 0; i < maxSpans+6; i++ {
 		_, s := x.Start(ctx, fmt.Sprintf("span-%d", i))
 		s.End()
 	}
 	exp, _ := x.Export("0123456789abcdef")
-	if len(exp.Spans) != 4 {
-		t.Fatalf("kept %d spans, want 4", len(exp.Spans))
+	if len(exp.Spans) != maxSpans {
+		t.Fatalf("kept %d spans, want %d", len(exp.Spans), maxSpans)
 	}
 	if exp.Dropped != 6 {
 		t.Fatalf("dropped = %d, want 6", exp.Dropped)
@@ -201,16 +201,17 @@ func TestPerTraceSpanBoundCountsDrops(t *testing.T) {
 }
 
 func TestTraceEvictionUnderChurn(t *testing.T) {
-	x := testIndex(t, Options{MaxTraces: 8})
-	// Churn 100 traces through an 8-trace index; only the newest 8
-	// survive and the eviction count tallies the rest.
-	for i := 0; i < 100; i++ {
+	x := testIndex(t, Options{})
+	// Churn maxTraces+92 traces through the index; only the newest
+	// maxTraces survive and the eviction count tallies the rest.
+	const churn = maxTraces + 92
+	for i := 0; i < churn; i++ {
 		ctx := traced(fmt.Sprintf("%016d", i))
 		_, s := x.Start(ctx, "submit")
 		s.End()
 	}
-	if x.Len() != 8 {
-		t.Fatalf("index holds %d traces, want 8", x.Len())
+	if x.Len() != maxTraces {
+		t.Fatalf("index holds %d traces, want %d", x.Len(), maxTraces)
 	}
 	if x.Evicted() != 92 {
 		t.Fatalf("evicted = %d, want 92", x.Evicted())
@@ -220,12 +221,12 @@ func TestTraceEvictionUnderChurn(t *testing.T) {
 		var n int
 		fmt.Sscanf(id, "%d", &n)
 		if n < 92 {
-			t.Fatalf("trace %s survived but is not among the newest 8 (%v)", id, ids)
+			t.Fatalf("trace %s survived but is not among the newest %d (%v)", id, maxTraces, ids)
 		}
 	}
 	// Touching an old trace protects it from the next eviction wave.
 	keep := ids[0]
-	for i := 100; i < 107; i++ {
+	for i := churn; i < churn+7; i++ {
 		_, s := x.Start(traced(fmt.Sprintf("%016d", i)), "submit")
 		s.End()
 		_, k := x.Start(traced(keep), "touch")
@@ -243,28 +244,33 @@ func TestTraceEvictionUnderChurn(t *testing.T) {
 }
 
 func TestConcurrentChurnStaysBounded(t *testing.T) {
-	x := testIndex(t, Options{MaxTraces: 16, MaxSpans: 8})
+	x := testIndex(t, Options{})
+	// Each goroutine cycles through 48 traces (384 in all, past the
+	// trace bound) and keeps one hot trace that outgrows the span bound.
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			for i := 0; i < 200; i++ {
-				ctx := traced(fmt.Sprintf("%08d%08d", g, i%24))
+			hot := traced(fmt.Sprintf("%08dffffffff", g))
+			for i := 0; i < maxSpans+100; i++ {
+				ctx := traced(fmt.Sprintf("%08d%08d", g, i%48))
 				ctx, root := x.Start(ctx, "submit")
 				_, c := x.Start(ctx, "queue")
 				c.End()
 				root.End()
+				_, h := x.Start(hot, "solve")
+				h.End()
 			}
 		}(g)
 	}
 	wg.Wait()
-	if got := x.Len(); got > 16 {
-		t.Fatalf("index grew to %d traces under churn, bound is 16", got)
+	if got := x.Len(); got > maxTraces {
+		t.Fatalf("index grew to %d traces under churn, bound is %d", got, maxTraces)
 	}
 	for _, id := range x.TraceIDs() {
-		if exp, ok := x.Export(id); ok && len(exp.Spans) > 8 {
-			t.Fatalf("trace %s holds %d spans, bound is 8", id, len(exp.Spans))
+		if exp, ok := x.Export(id); ok && len(exp.Spans) > maxSpans {
+			t.Fatalf("trace %s holds %d spans, bound is %d", id, len(exp.Spans), maxSpans)
 		}
 	}
 }

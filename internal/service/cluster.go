@@ -222,7 +222,7 @@ func (d *Daemon) tryForward(ctx context.Context, req *Request, pending []*task, 
 	for i, t := range pending {
 		sub.Jobs[i] = *t.job
 		if sub.Jobs[i].ID == "" {
-			sub.Jobs[i].ID = t.label
+			sub.Jobs[i].ID = t.Label
 		}
 	}
 	body, err := json.Marshal(&sub)
@@ -249,20 +249,9 @@ func (d *Daemon) tryForward(ctx context.Context, req *Request, pending []*task, 
 			"peer", peer.ID, "err", err, "results", len(resp.Results), "want", len(pending))
 		return nil, false
 	}
-	d.forwarded.Add(int64(len(pending)))
 	for i, t := range pending {
-		t.cancel()
-		e := t.explain
-		d.table.detach(e.JobID)
-		e.State = JobDone
-		e.Outcome = OutcomeForwarded
-		e.ServedBy = string(peer.ID)
-		d.table.record(e)
-		if lw, ok := d.lat[OutcomeForwarded]; ok {
-			lw.queue.Observe(0)
-			lw.solve.Observe(0)
-			lw.e2e.Observe(0)
-		}
+		t.servedBy = string(peer.ID)
+		d.retire(t, OutcomeForwarded, 0)
 		results[t.idx] = resp.Results[i]
 	}
 	d.log.InfoContext(ctx, "batch forwarded", "peer", peer.ID, "jobs", len(pending),

@@ -45,11 +45,9 @@ func newTestFleet(t *testing.T, n int, mod func(i int, cfg *Config)) *testFleet 
 		next := fleetID((i + 1) % n)
 		reg := obs.New()
 		node := cluster.NewNode(cluster.Config{
-			Self:  cluster.Peer{ID: id, Addr: string(id)},
-			Seeds: []cluster.Peer{{ID: next, Addr: string(next)}},
-			Params: cluster.Params{
-				ViewSize: 8, Fanout: 2, SuspectAfter: 2, StaleTicks: 4,
-			},
+			Self:      cluster.Peer{ID: id, Addr: string(id)},
+			Seeds:     []cluster.Peer{{ID: next, Addr: string(next)}},
+			Params:    cluster.Params{ViewSize: 8, Fanout: 2},
 			Transport: f.tr,
 			Seed:      int64(i + 1),
 			Epoch:     int64(i+1) * 1000,
@@ -271,7 +269,7 @@ func TestFleetStealsWorkInsteadOf429(t *testing.T) {
 	f.ds[0].execHook = func(ctx context.Context, tk *task) Result {
 		started <- struct{}{}
 		<-release
-		return Result{ID: tk.label, Status: StatusOK, NetKey: tk.netKey}
+		return Result{ID: tk.Label, Status: StatusOK, NetKey: tk.NetKey}
 	}
 	var wg sync.WaitGroup
 	wg.Add(2)

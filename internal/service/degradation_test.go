@@ -174,7 +174,7 @@ func TestShedLoad(t *testing.T) {
 	var once sync.Once
 	d.execHook = func(ctx context.Context, tk *task) Result {
 		once.Do(func() { <-gate }) // stall the first job; the second sits queued past its deadline
-		return Result{ID: tk.label, Status: StatusOK, NetKey: tk.netKey}
+		return Result{ID: tk.Label, Status: StatusOK, NetKey: tk.NetKey}
 	}
 	defer close(gate)
 

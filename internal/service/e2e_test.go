@@ -250,7 +250,7 @@ func TestShutdownDrainsQueuedJobs(t *testing.T) {
 	var once sync.Once
 	d.execHook = func(ctx context.Context, tk *task) Result {
 		once.Do(func() { <-gate }) // stall only the first job so the rest sit queued
-		return Result{ID: tk.label, Status: StatusOK, NetKey: tk.netKey}
+		return Result{ID: tk.Label, Status: StatusOK, NetKey: tk.NetKey}
 	}
 
 	net := testNetFile(t, 42, 6)

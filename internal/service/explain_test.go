@@ -186,7 +186,7 @@ func TestReadyzDrainAndSaturation(t *testing.T) {
 		block := make(chan struct{})
 		d.execHook = func(ctx context.Context, t *task) Result {
 			<-block
-			return Result{ID: t.label, Status: StatusOK, NetKey: t.netKey}
+			return Result{ID: t.Label, Status: StatusOK, NetKey: t.NetKey}
 		}
 		defer close(block)
 		srv := httptest.NewServer(d.Handler())
@@ -222,42 +222,81 @@ func TestReadyzDrainAndSaturation(t *testing.T) {
 	})
 }
 
-// TestSLOWindowsPerOutcome: finished jobs land in the latency windows
-// of their outcome class, visible in the JSON snapshot and the
-// Prometheus rendering.
+// TestSLOWindowsPerOutcome: every retired job lands in the finished
+// ring with its state/outcome/code, and in the latency windows of its
+// outcome class — except cache hits, which observe no window — visible
+// in the JSON snapshot and the Prometheus rendering.
 func TestSLOWindowsPerOutcome(t *testing.T) {
 	reg := obs.New()
-	d := newTestDaemon(t, Config{Workers: 1, JobTimeout: 50 * time.Millisecond,
-		DegradeHeadroom: -1, Reg: reg})
+	d := newTestDaemon(t, Config{Workers: 1, QueueDepth: 1, CacheSize: 8,
+		JobTimeout: 50 * time.Millisecond, DegradeHeadroom: -1, Reg: reg})
 	ok := make(chan struct{}, 1)
-	d.execHook = func(ctx context.Context, t *task) Result {
+	d.execHook = func(ctx context.Context, _ *task) Result {
 		select {
 		case <-ok:
-			return Result{ID: t.label, Status: StatusOK, NetKey: t.netKey}
+			return Result{Status: StatusOK}
 		case <-ctx.Done():
-			return Result{ID: t.label, Status: StatusError, Code: ErrDeadlineExceeded, NetKey: t.netKey}
+			return Result{Status: StatusError, Code: ErrDeadlineExceeded}
 		}
 	}
 
 	net := testNetFile(t, 6, 6)
+	fast := Job{ID: "fast", Mode: "msri", Net: net}
 	ok <- struct{}{}
-	if _, serr := d.Submit(context.Background(), oneJobRequest(Job{ID: "fast", Mode: "msri", Net: net})); serr != nil {
+	if _, serr := d.Submit(context.Background(), oneJobRequest(fast)); serr != nil {
 		t.Fatal(serr)
 	}
-	// Second job: the hook blocks past the deadline → deadline_exceeded
+	// The same job again is a cache hit: ok, but no window observation.
+	if resp, serr := d.Submit(context.Background(), oneJobRequest(fast)); serr != nil || !resp.Results[0].Cached {
+		t.Fatalf("resubmit: %+v %v", resp, serr)
+	}
+	// Third job: the hook blocks past the deadline → deadline_exceeded
 	// → the error class.
 	d.Submit(context.Background(), oneJobRequest(Job{ID: "slow", Mode: "msri", Net: net,
 		Options: JobOptions{Spec: 99}}))
+	// A two-miss batch into one queue slot is rejected whole.
+	_, serr := d.Submit(context.Background(), &Request{Version: SchemaVersion, Jobs: []Job{
+		{ID: "r0", Mode: "msri", Net: net, Options: JobOptions{Spec: 1}},
+		{ID: "r1", Mode: "msri", Net: net, Options: JobOptions{Spec: 2}},
+	}})
+	if serr == nil || serr.Code != ErrQueueFull {
+		t.Fatalf("two-job batch into one slot: %v, want %s", serr, ErrQueueFull)
+	}
+
+	active, recent := d.table.List()
+	if len(active) != 0 {
+		t.Errorf("%d jobs still active after every submission returned", len(active))
+	}
+	want := []struct {
+		label, outcome, code string
+		cached               bool
+	}{ // newest first
+		{"r1", OutcomeRejected, ErrQueueFull, false},
+		{"r0", OutcomeRejected, ErrQueueFull, false},
+		{"slow", OutcomeError, ErrDeadlineExceeded, false},
+		{"fast", OutcomeOK, "", true},
+		{"fast", OutcomeOK, "", false},
+	}
+	if len(recent) != len(want) {
+		t.Fatalf("finished ring holds %d reports, want %d: %+v", len(recent), len(want), recent)
+	}
+	for i, w := range want {
+		e := recent[i]
+		if e.Label != w.label || e.State != JobDone || e.Outcome != w.outcome || e.Code != w.code || e.Cached != w.cached {
+			t.Errorf("report %d: label=%s state=%s outcome=%s code=%q cached=%t, want %s done %s %q %t",
+				i, e.Label, e.State, e.Outcome, e.Code, e.Cached, w.label, w.outcome, w.code, w.cached)
+		}
+	}
 
 	snap := reg.Snapshot()
-	if q, found := snap.Quantiles["svc/latency/e2e/ok"]; !found || q.Count == 0 {
-		t.Errorf("ok e2e window: %+v (found=%t)", q, found)
-	}
-	if q, found := snap.Quantiles["svc/latency/queue/ok"]; !found || q.Count == 0 {
-		t.Errorf("ok queue window: %+v (found=%t)", q, found)
-	}
-	if q, found := snap.Quantiles["svc/latency/e2e/error"]; !found || q.Count == 0 {
-		t.Errorf("error e2e window: %+v (found=%t)", q, found)
+	wantCount := map[string]int64{OutcomeOK: 1, OutcomeError: 1, OutcomeRejected: 2}
+	for _, class := range outcomeClasses {
+		for _, kind := range []string{"queue", "solve", "e2e"} {
+			name := "svc/latency/" + kind + "/" + class
+			if got := snap.Quantiles[name].Count; got != wantCount[class] {
+				t.Errorf("%s count = %d, want %d", name, got, wantCount[class])
+			}
+		}
 	}
 	// The Prometheus rendering exposes the same windows as summaries.
 	rec := httptest.NewRecorder()
@@ -267,6 +306,7 @@ func TestSLOWindowsPerOutcome(t *testing.T) {
 		`msrnet_svc_latency_e2e_ok{quantile="0.99"}`,
 		`msrnet_svc_latency_solve_ok{quantile="0.5"}`,
 		"msrnet_svc_latency_e2e_error_count",
+		"msrnet_svc_latency_e2e_rejected_count",
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("/metrics missing %q", want)

@@ -156,7 +156,7 @@ func (d *Daemon) handleJobGet(w http.ResponseWriter, r *http.Request) {
 
 func (d *Daemon) handleTrace(w http.ResponseWriter, r *http.Request) {
 	if d.cfg.Tracer == nil {
-		writeError(w, http.StatusNotFound, ErrBadRequest, "tracing disabled (start the daemon with -trace-events)")
+		writeError(w, http.StatusNotFound, ErrBadRequest, "tracing disabled (the daemon was built without a Config.Tracer)")
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")

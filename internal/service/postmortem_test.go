@@ -181,7 +181,7 @@ func TestRejectedJobsEnterDoneRing(t *testing.T) {
 	d.execHook = func(ctx context.Context, tk *task) Result {
 		started <- struct{}{}
 		<-release
-		return Result{ID: tk.label, Status: StatusOK, NetKey: tk.netKey}
+		return Result{ID: tk.Label, Status: StatusOK, NetKey: tk.NetKey}
 	}
 	defer close(release)
 

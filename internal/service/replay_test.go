@@ -84,11 +84,11 @@ func TestCrashReplayLosesNothing(t *testing.T) {
 	d := newTestDaemon(t, Config{Workers: 1, QueueDepth: 8, Reg: reg, Store: store})
 	gate := make(chan struct{})
 	solve := func(tk *task) Result {
-		return Result{ID: tk.label, Status: StatusOK, NetKey: tk.netKey,
+		return Result{ID: tk.Label, Status: StatusOK, NetKey: tk.NetKey,
 			ARD: &ARDResult{ARD: 3.25, CritSrc: "s0", CritSink: "p1"}}
 	}
 	d.execHook = func(ctx context.Context, tk *task) Result {
-		if tk.label == "c" {
+		if tk.Label == "c" {
 			<-gate
 		}
 		return solve(tk)
@@ -222,7 +222,7 @@ func TestDegradedResultReplaysForExactResolve(t *testing.T) {
 	}
 	d := newTestDaemon(t, Config{Workers: 1, QueueDepth: 4, Store: st2})
 	d.execHook = func(ctx context.Context, tk *task) Result {
-		return Result{ID: tk.label, Status: StatusOK, NetKey: tk.netKey, ARD: &ARDResult{ARD: 9.0}}
+		return Result{ID: tk.Label, Status: StatusOK, NetKey: tk.NetKey, ARD: &ARDResult{ARD: 9.0}}
 	}
 	requeued, restored := d.Recover(rep)
 	if requeued != 1 || restored != 0 {

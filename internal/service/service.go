@@ -62,8 +62,8 @@ type Config struct {
 	// injection points (svc/decode, svc/queue, svc/worker,
 	// svc/cache/get, svc/cache/put). Nil in production.
 	Faults *faultinject.Injector
-	// Reg receives the daemon's metrics and per-job phase spans; may be
-	// nil.
+	// Reg receives the daemon's metrics and the solver's core/*
+	// aggregates; may be nil.
 	Reg *obs.Registry
 	// Logger receives job-level logs; slog.Default when nil. Wrap the
 	// handler with reqctx.Handler so every line carries the request's
@@ -175,33 +175,33 @@ type latWindows struct {
 	queue, solve, e2e *obs.WindowHist
 }
 
-// task is one unit of queued work: a validated, decoded job plus its
-// completion signal.
+// task is one job's runtime half: its explain report, which holds the
+// job's identity, plus the decoded net, scheduling state and completion
+// signal. Build it with newTask and end it with retire.
 type task struct {
-	job    *Job
-	idx    int
-	label  string
-	netKey string
-	key    string
-	tr     *topo.Tree
-	tech   buslib.Tech
+	// Explain is the job's report. newTask sets its identity (JobID,
+	// Seq, Label, TraceID, NetKey, Tenant, Mode), read freely after;
+	// every other field is written only under the jobTable's rules.
+	*Explain
 
-	// Request-scoped identity: the client's trace id (from the request
-	// context) and the daemon-assigned job id ("j<seq>").
-	traceID string
-	jid     string
+	job  *Job
+	idx  int
+	key  string
+	tr   *topo.Tree
+	tech buslib.Tech
+
 	// Tenancy and durability: the owning tenant, whether the task holds
 	// reserved queue slots (WAL-recovered tasks do not), and the job's
 	// durable WAL identity ("" when the daemon runs without a store).
-	tn       *tenantState
-	slotted  bool
-	walUID   string
-	replayed bool
-	seq      int64
-	explain  *Explain
-	want     bool // request asked for the explain on the result
-	profile  bool // request asked for the lifecycle profile (implies want)
-	prof     *solveprof.Profile
+	tn      *tenantState
+	slotted bool
+	walUID  string
+	want    bool // request asked for the explain on the result
+	profile bool // request asked for the lifecycle profile (implies want)
+	prof    *solveprof.Profile
+	// servedBy, when set, overrides the report's ServedBy at retire:
+	// the shard owner of a remote cache hit, the peer of a forward.
+	servedBy string
 
 	ctx    context.Context
 	cancel context.CancelFunc
@@ -218,6 +218,120 @@ type task struct {
 
 	res  Result
 	done chan struct{}
+}
+
+// decodedNet is one job's validated net: its content hash and topology.
+type decodedNet struct {
+	netKey string
+	tr     *topo.Tree
+	tech   buslib.Tech
+}
+
+// newTask builds the task of one decoded job, for a fresh submission
+// and a WAL replay alike: it numbers the job, seeds its report with the
+// job's identity, and derives the job context — bounded by the per-job
+// deadline — from ctx, which carries the trace ID and span parent.
+func (d *Daemon) newTask(ctx context.Context, j *Job, label string, n decodedNet, tn *tenantState) *task {
+	seq := d.seq.Add(1)
+	jid := fmt.Sprintf("j%d", seq)
+	t := &task{job: j, key: j.cacheKey(n.netKey), tr: n.tr, tech: n.tech, tn: tn, done: make(chan struct{}),
+		Explain: &Explain{Schema: ExplainSchema, JobID: jid, Seq: seq, Label: label,
+			TraceID: reqctx.TraceID(ctx), NetKey: n.netKey, Tenant: tn.cfg.Name, Mode: j.Mode, State: JobQueued}}
+	ctx = reqctx.WithJobID(ctx, jid)
+	if d.cfg.JobTimeout > 0 {
+		t.ctx, t.cancel = context.WithTimeout(ctx, d.cfg.JobTimeout)
+	} else {
+		t.ctx, t.cancel = context.WithCancel(ctx)
+	}
+	return t
+}
+
+// retire is every job's one exit — cache hit, admission rejection,
+// work-steal forward and worker completion. It releases the job
+// context, completes the report as outcome (totalMs end to end),
+// retires it to the finished ring, attaches it to t.res when the
+// request asked, and does the outcome's accounting. The report is
+// detached from the live table BEFORE its completion fields are
+// written: a concurrent List/Get (debug handlers, the flight recorder's
+// jobs capture) must never observe a half-finished report. A cache hit
+// observes no latency window; rejected and forwarded jobs observe 0 for
+// the queue and solve phases they never ran.
+func (d *Daemon) retire(t *task, outcome string, totalMs float64) {
+	t.cancel()
+	e := t.Explain
+	d.table.detach(e.JobID)
+	e.State = JobDone
+	e.Outcome = outcome
+	e.Code = t.res.Code
+	e.Cached = t.res.Cached
+	e.TotalMs = totalMs
+	if t.servedBy != "" {
+		e.ServedBy = t.servedBy
+	}
+	switch {
+	case e.Cached:
+		d.completed.Inc()
+	case outcome == OutcomeRejected:
+		// Only a batch bounced back for capacity counts as rejected.
+		if e.Code == ErrQueueFull || e.Code == ErrQuotaExceeded {
+			d.rejected.Inc()
+			t.tn.rejected.Inc()
+		}
+	case outcome == OutcomeForwarded:
+		d.forwarded.Inc()
+	default: // a worker ran the job
+		e.QueueWaitMs = t.waitMs
+		e.SolveMs = t.solveMs
+		if t.res.Opt != nil {
+			e.Solve = solveExplain(t.res.Opt.Stats)
+			e.Profile = t.prof
+			if t.res.Degraded {
+				e.Degradation = &DegradeExplain{
+					Reason:     t.res.DegradedReason,
+					CoarseEps:  t.res.Opt.CoarseEps,
+					ErrorBound: t.res.Opt.CoarseEps * float64(t.res.Opt.Stats.PruneCalls),
+				}
+			}
+		}
+		e.Spans = d.cfg.Spans.Summarize(e.TraceID)
+		t.tn.latE2E.Observe(totalMs)
+		if t.res.Status == StatusOK {
+			d.completed.Inc()
+			t.tn.completed.Inc()
+			if t.res.Degraded {
+				d.degraded.Inc()
+			}
+		} else {
+			d.failed.Inc()
+			if outcome == OutcomeShed {
+				d.shed.Inc()
+			}
+		}
+	}
+	d.table.record(e)
+	if t.want {
+		t.res.Explain = e
+	}
+	if lw, ok := d.lat[outcome]; ok && !e.Cached {
+		observe(lw.queue, e.QueueWaitMs, e.TraceID)
+		observe(lw.solve, e.SolveMs, e.TraceID)
+		observe(lw.e2e, e.TotalMs, e.TraceID)
+	}
+}
+
+// observe feeds one SLO window. Only a measured interval offers its
+// trace as the window's exemplar; the zero of a phase a job never ran
+// names no trace.
+func observe(w *obs.WindowHist, ms float64, traceID string) {
+	if ms == 0 {
+		traceID = ""
+	}
+	w.ObserveEx(ms, traceID)
+}
+
+// msSince is the wall time since start in milliseconds.
+func msSince(start time.Time) float64 {
+	return float64(time.Since(start)) / float64(time.Millisecond)
 }
 
 // New builds the daemon and starts its workers.
@@ -328,8 +442,6 @@ func decodeErr(label string, err error) *SubmitError {
 // admitted half.
 func (d *Daemon) Submit(ctx context.Context, req *Request) (*Response, *SubmitError) {
 	submitStart := time.Now()
-	sub := d.reg.StartSpan("svc/submit")
-	defer sub.End()
 	// Root span of this process's share of the trace. A forwarded batch
 	// carries the sender's hop span reference, so this root links under
 	// it and the stitched trace shows both sides of the hop.
@@ -349,84 +461,47 @@ func (d *Daemon) Submit(ctx context.Context, req *Request) (*Response, *SubmitEr
 	if err := req.Validate(); err != nil {
 		return nil, submitErr(http.StatusBadRequest, ErrBadRequest, "%v", err)
 	}
+	nets, serr := d.decodeBatch(ctx, req)
+	if serr != nil {
+		return nil, serr
+	}
 
-	// Decode every net up front: a malformed net is the client's fault
-	// and must be a structured 400, not a queued failure.
-	traceID := reqctx.TraceID(ctx)
 	results := make([]Result, len(req.Jobs))
 	var pending []*task
-	decSpan := d.reg.StartSpan("svc/submit/decode")
-	_, dec := d.cfg.Spans.Start(ctx, "decode")
-	defer dec.End()
 	for i := range req.Jobs {
 		j := &req.Jobs[i]
-		if err := d.cfg.Faults.Fire(ctx, "svc/decode"); err != nil {
-			decSpan.End()
-			return nil, submitErr(http.StatusServiceUnavailable, ErrInternal, "decode: %v", err)
-		}
-		netKey, err := netio.ContentHash(j.Net)
-		if err != nil {
-			decSpan.End()
-			return nil, decodeErr(j.label(i), err)
-		}
-		tr, tech, err := netio.Decode(j.Net)
-		if err != nil {
-			decSpan.End()
-			return nil, decodeErr(j.label(i), err)
-		}
-		if len(tr.Sources()) == 0 || len(tr.Sinks()) == 0 {
-			decSpan.End()
-			return nil, submitErr(http.StatusBadRequest, ErrBadRequest,
-				"job %s: net needs at least one source and one sink", j.label(i))
-		}
-		key := j.cacheKey(netKey)
 		d.submitted.Inc()
 		tn.submitted.Inc()
-		seq := d.seq.Add(1)
-		jid := fmt.Sprintf("j%d", seq)
+		t := d.newTask(ctx, j, j.label(i), nets[i], tn)
+		t.idx, t.want, t.profile = i, req.Explain || req.Profile, req.Profile
+		d.stampCluster(t.Explain, fmeta)
 		// A profiled request bypasses the cache (not even a lookup, so
 		// hit/miss counters and LRU order stay honest): the lifecycle
 		// profile exists only on a fresh solve, and serving a cached
 		// result would silently return a report without one.
-		res, hit := d.lookupUnlessProfiled(ctx, key, req.Profile)
-		var shardOwner cluster.ID
-		if !hit && !req.Profile {
-			// Local miss: ask the net's home peer for its shard (single
-			// hop; errors and down owners degrade to a miss).
-			res, shardOwner, hit = d.shardLookup(ctx, netKey, key)
+		var res Result
+		hit := false
+		if !req.Profile {
+			res, hit = d.cacheGet(ctx, t.key)
+			if !hit {
+				// Local miss: ask the net's home peer for its shard (single
+				// hop; errors and down owners degrade to a miss).
+				var owner cluster.ID
+				res, owner, hit = d.shardLookup(ctx, t.NetKey, t.key)
+				t.servedBy = string(owner)
+			}
 		}
 		if hit {
-			res.ID = j.label(i)
+			res.ID = t.Label
 			res.Cached = true
-			e := d.newExplain(jid, seq, j, i, traceID, netKey)
-			e.Tenant = tn.cfg.Name
-			e.State = JobDone
-			e.Outcome = OutcomeOK
-			e.Cached = true
-			d.stampCluster(e, fmeta)
-			if shardOwner != "" {
-				e.ServedBy = string(shardOwner)
-			}
-			d.table.record(e)
-			if req.Explain {
-				res.Explain = e
-			}
-			results[i] = res
-			d.completed.Inc()
+			t.res = res
+			d.retire(t, OutcomeOK, 0)
+			results[i] = t.res
 			continue
 		}
-		t := &task{job: j, idx: i, label: j.label(i), netKey: netKey, key: key, tr: tr, tech: tech,
-			traceID: traceID, jid: jid, seq: seq, want: req.Explain || req.Profile,
-			profile: req.Profile, tn: tn, slotted: true, done: make(chan struct{})}
-		t.explain = d.newExplain(jid, seq, j, i, traceID, netKey)
-		t.explain.Tenant = tn.cfg.Name
-		d.stampCluster(t.explain, fmeta)
-		t.ctx, t.cancel = d.jobContext(reqctx.WithJobID(ctx, jid))
+		t.slotted = true
 		pending = append(pending, t)
-		results[i] = Result{} // filled after completion
 	}
-	decSpan.End()
-	dec.End()
 
 	// Register the batch for introspection (GET /debug/jobs) before the
 	// queue can hand it to a worker. A rejected batch (queue full,
@@ -434,7 +509,7 @@ func (d *Daemon) Submit(ctx context.Context, req *Request) (*Response, *SubmitEr
 	// a daemon shedding admission under saturation must show those jobs
 	// in /debug/jobs and in postmortem bundles, not silently drop them.
 	for _, t := range pending {
-		d.table.start(t.explain)
+		d.table.start(t.Explain)
 	}
 	actx, admit := d.cfg.Spans.Start(ctx, "admit")
 	err := d.reserve(tn, len(pending))
@@ -456,27 +531,10 @@ func (d *Daemon) Submit(ctx context.Context, req *Request) (*Response, *SubmitEr
 		if resp, ok := d.tryForward(ctx, req, pending, results, err); ok {
 			return resp, nil
 		}
-		// Only a batch actually bounced back to the client counts as
-		// rejected — a stolen batch above is delivered work, not loss.
-		if err.Code == ErrQueueFull || err.Code == ErrQuotaExceeded {
-			d.rejected.Add(int64(len(pending)))
-			tn.rejected.Add(int64(len(pending)))
-		}
-		ms := float64(time.Since(submitStart)) / float64(time.Millisecond)
+		ms := msSince(submitStart)
 		for _, t := range pending {
-			t.cancel()
-			e := t.explain
-			d.table.detach(e.JobID)
-			e.State = JobDone
-			e.Outcome = OutcomeRejected
-			e.Code = err.Code
-			e.TotalMs = ms
-			d.table.record(e)
-			if lw, ok := d.lat[OutcomeRejected]; ok {
-				lw.queue.Observe(0)
-				lw.solve.Observe(0)
-				lw.e2e.ObserveEx(ms, e.TraceID)
-			}
+			t.res = d.failResult(t, err.Code, err.Msg)
+			d.retire(t, OutcomeRejected, ms)
 		}
 		return nil, err
 	}
@@ -504,37 +562,30 @@ func (d *Daemon) Submit(ctx context.Context, req *Request) (*Response, *SubmitEr
 	return &Response{Version: SchemaVersion, Results: results}, nil
 }
 
-// newExplain seeds the per-job report with its identity; timing and
-// solve shape are filled at completion.
-func (d *Daemon) newExplain(jid string, seq int64, j *Job, i int, traceID, netKey string) *Explain {
-	return &Explain{
-		Schema:  ExplainSchema,
-		JobID:   jid,
-		Seq:     seq,
-		Label:   j.label(i),
-		TraceID: traceID,
-		NetKey:  netKey,
-		Mode:    j.Mode,
-		State:   JobQueued,
+// decodeBatch validates and decodes every net of req before any job is
+// accounted: a malformed net anywhere in the batch is the client's
+// fault and rejects the whole request with a structured 400, leaving
+// no count, report or context behind.
+func (d *Daemon) decodeBatch(ctx context.Context, req *Request) ([]decodedNet, *SubmitError) {
+	_, sp := d.cfg.Spans.Start(ctx, "decode")
+	defer sp.End()
+	nets := make([]decodedNet, len(req.Jobs))
+	for i := range req.Jobs {
+		j := &req.Jobs[i]
+		if err := d.cfg.Faults.Fire(ctx, "svc/decode"); err != nil {
+			return nil, submitErr(http.StatusServiceUnavailable, ErrInternal, "decode: %v", err)
+		}
+		netKey, err := netio.ContentHash(j.Net)
+		if err != nil {
+			return nil, decodeErr(j.label(i), err)
+		}
+		tr, tech, err := netio.Decode(j.Net)
+		if err != nil {
+			return nil, decodeErr(j.label(i), err)
+		}
+		nets[i] = decodedNet{netKey: netKey, tr: tr, tech: tech}
 	}
-}
-
-// jobContext derives the per-job context: the request context bounded
-// by the per-job deadline.
-func (d *Daemon) jobContext(ctx context.Context) (context.Context, context.CancelFunc) {
-	if d.cfg.JobTimeout > 0 {
-		return context.WithTimeout(ctx, d.cfg.JobTimeout)
-	}
-	return context.WithCancel(ctx)
-}
-
-// lookupUnlessProfiled consults the result cache, except for profiled
-// requests, which always recompute.
-func (d *Daemon) lookupUnlessProfiled(ctx context.Context, key string, profiled bool) (Result, bool) {
-	if profiled {
-		return Result{}, false
-	}
-	return d.cacheGet(ctx, key)
+	return nets, nil
 }
 
 // cacheGet looks up key under the svc/cache/get injection point: an
@@ -559,7 +610,7 @@ func (d *Daemon) worker() {
 		if t == nil {
 			return
 		}
-		t.waitMs = float64(time.Since(t.enqueued)) / float64(time.Millisecond)
+		t.waitMs = msSince(t.enqueued)
 		d.queueWait.Observe(t.waitMs)
 		d.runTask(t)
 	}
@@ -571,17 +622,14 @@ func (d *Daemon) worker() {
 // finishes in the background and is discarded).
 func (d *Daemon) runTask(t *task) {
 	defer close(t.done)
-	defer t.cancel()
-	d.table.setRunning(t.jid)
+	d.table.setRunning(t.JobID)
 	t.qspan.End() // queue wait is over: a worker has the task
-	span := d.reg.StartSpan("svc/job")
 	start := time.Now()
 
 	if err := t.ctx.Err(); err != nil {
 		t.res = d.failResult(t, ErrDeadlineExceeded, fmt.Sprintf("expired before start: %v", err))
 		d.deadlines.Inc()
 	} else if d.shouldShed(t) {
-		d.shed.Inc()
 		t.res = d.failResult(t, ErrShedLoad, fmt.Sprintf(
 			"job spent its deadline queued (%v remaining < %v margin); resubmit for a fresh budget",
 			remainingBudget(t.ctx), d.cfg.ShedMargin))
@@ -594,13 +642,13 @@ func (d *Daemon) runTask(t *task) {
 			defer func() {
 				if p := recover(); p != nil {
 					d.panics.Inc()
-					d.log.ErrorContext(t.ctx, "job panic recovered", "job", t.label, "panic", fmt.Sprint(p))
+					d.log.ErrorContext(t.ctx, "job panic recovered", "job", t.Label, "panic", fmt.Sprint(p))
 					// A worker panic is a postmortem trigger: the recorder
 					// snapshots the last minutes of daemon state while the
 					// evidence is still hot (cooldown-debounced, so a panic
 					// storm writes one bundle, not hundreds).
 					if dir, err := d.cfg.Recorder.TriggerAuto(recorder.ReasonPanic,
-						fmt.Sprintf("job %s: %v", t.jid, p)); err != nil {
+						fmt.Sprintf("job %s: %v", t.JobID, p)); err != nil {
 						d.log.ErrorContext(t.ctx, "postmortem capture failed", "err", err)
 					} else if dir != "" {
 						d.log.ErrorContext(t.ctx, "postmortem bundle written", "bundle", dir)
@@ -621,88 +669,36 @@ func (d *Daemon) runTask(t *task) {
 			d.deadlines.Inc()
 			t.res = d.failResult(t, ErrDeadlineExceeded, fmt.Sprintf("job exceeded deadline: %v", t.ctx.Err()))
 		}
-		t.solveMs = float64(time.Since(solveStart)) / float64(time.Millisecond)
+		t.solveMs = msSince(solveStart)
 		solveSpan.End()
 	}
 
-	span.End()
-	ms := float64(time.Since(start)) / float64(time.Millisecond)
+	ms := msSince(start)
 	d.jobDur.Observe(ms)
 	// Persist the outcome before anything can deliver it: a crash after
 	// this append replays the stored bytes instead of re-solving.
 	d.walResult(t)
-	if t.res.Status == StatusOK {
-		d.completed.Inc()
-		if t.res.Degraded {
-			// A degraded result is only the best answer under THIS job's
-			// deadline pressure; caching it would pin the coarse answer
-			// for future unpressed submissions of the same net.
-			d.degraded.Inc()
-		} else if d.cfg.Faults.Fire(t.ctx, "svc/cache/put") == nil {
-			// Cache the result without per-request decoration. An injected
-			// put fault drops the insert — the cache is an optimization,
-			// never a correctness dependency.
-			stored := t.res
-			stored.ID = ""
-			stored.Cached = false
-			stored.Explain = nil
-			d.cache.Put(t.key, stored)
-			// Replicate to the net's home peer so any fleet member's next
-			// submission of this net hits in one hop. The local copy above
-			// is the fallback when the owner is down.
-			d.shardStore(t.ctx, t.netKey, t.key, stored)
-		}
-	} else {
-		d.failed.Inc()
+	// A degraded result is only the best answer under THIS job's
+	// deadline pressure; caching it would pin the coarse answer for
+	// future unpressed submissions of the same net. An injected put
+	// fault drops the insert — the cache is an optimization, never a
+	// correctness dependency.
+	if t.res.Status == StatusOK && !t.res.Degraded && d.cfg.Faults.Fire(t.ctx, "svc/cache/put") == nil {
+		// Cache the result without per-request decoration.
+		stored := t.res
+		stored.ID = ""
+		stored.Cached = false
+		stored.Explain = nil
+		d.cache.Put(t.key, stored)
+		// Replicate to the net's home peer so any fleet member's next
+		// submission of this net hits in one hop. The local copy above
+		// is the fallback when the owner is down.
+		d.shardStore(t.ctx, t.NetKey, t.key, stored)
 	}
-	d.finishJob(t)
-	d.log.InfoContext(t.ctx, "job done", "job", t.label, "status", t.res.Status, "code", t.res.Code,
-		"mode", t.job.Mode, "net_key", t.netKey, "ms", ms, "degraded", t.res.Degraded,
-		"outcome", t.explain.Outcome, "queue_wait_ms", t.waitMs, "solve_ms", t.solveMs)
-}
-
-// finishJob completes the explain report, retires it to the finished
-// ring, observes the per-outcome SLO latency windows and — when the
-// request asked — attaches the report to the result. The report is
-// detached from the live table BEFORE its completion fields are
-// written: a concurrent List/Get (debug handlers, the flight
-// recorder's jobs capture) must never observe a half-finished report.
-func (d *Daemon) finishJob(t *task) {
-	e := t.explain
-	d.table.detach(e.JobID)
-	e.State = JobDone
-	e.Outcome = outcomeOf(t.res)
-	e.Code = t.res.Code
-	e.QueueWaitMs = t.waitMs
-	e.SolveMs = t.solveMs
-	e.TotalMs = float64(time.Since(t.enqueued)) / float64(time.Millisecond)
-	if t.res.Opt != nil {
-		e.Solve = solveExplain(t.res.Opt.Stats)
-		e.Profile = t.prof
-		if t.res.Degraded {
-			e.Degradation = &DegradeExplain{
-				Reason:     t.res.DegradedReason,
-				CoarseEps:  t.res.Opt.CoarseEps,
-				ErrorBound: t.res.Opt.CoarseEps * float64(t.res.Opt.Stats.PruneCalls),
-			}
-		}
-	}
-	e.Spans = d.cfg.Spans.Summarize(e.TraceID)
-	d.table.record(e)
-	if t.want {
-		t.res.Explain = e
-	}
-	if lw, ok := d.lat[e.Outcome]; ok {
-		lw.queue.ObserveEx(e.QueueWaitMs, e.TraceID)
-		lw.solve.ObserveEx(e.SolveMs, e.TraceID)
-		lw.e2e.ObserveEx(e.TotalMs, e.TraceID)
-	}
-	if t.tn != nil {
-		t.tn.latE2E.Observe(e.TotalMs)
-		if t.res.Status == StatusOK {
-			t.tn.completed.Inc()
-		}
-	}
+	d.retire(t, outcomeOf(t.res), msSince(t.enqueued))
+	d.log.InfoContext(t.ctx, "job done", "job", t.Label, "status", t.res.Status, "code", t.res.Code,
+		"mode", t.Mode, "net_key", t.NetKey, "ms", ms, "degraded", t.res.Degraded,
+		"outcome", t.Outcome, "queue_wait_ms", t.waitMs, "solve_ms", t.solveMs)
 }
 
 // shouldShed reports whether the task's remaining deadline at dequeue
@@ -727,8 +723,8 @@ func remainingBudget(ctx context.Context) time.Duration {
 }
 
 func (d *Daemon) failResult(t *task, code, msg string) Result {
-	return Result{ID: t.label, Status: StatusError, Code: code, Error: msg,
-		NetKey: t.netKey, Retryable: retryableCode(code)}
+	return Result{ID: t.Label, Status: StatusError, Code: code, Error: msg,
+		NetKey: t.NetKey, Retryable: retryableCode(code)}
 }
 
 // exec computes the job's result. It runs on a per-job goroutine under
@@ -738,24 +734,22 @@ func (d *Daemon) exec(t *task) Result {
 		return d.execHook(t.ctx, t)
 	}
 	j := t.job
-	res := Result{ID: t.label, Status: StatusOK, NetKey: t.netKey}
+	res := Result{ID: t.Label, Status: StatusOK, NetKey: t.NetKey}
 	rt := t.tr.RootAt(t.tr.Terminals()[0])
 
 	// Tag every trace event of this job with its request-scoped identity
 	// so a shared ring tracer stays separable per job.
 	var targs []trace.Arg
 	if d.cfg.Tracer != nil {
-		targs = []trace.Arg{trace.S("trace_id", t.traceID), trace.S("job", t.jid)}
+		targs = []trace.Arg{trace.S("trace_id", t.TraceID), trace.S("job", t.JobID)}
 	}
 
 	if j.Mode == "ard" || j.Mode == "both" {
-		span := d.reg.StartSpan("svc/job/ard")
 		_, ps := d.cfg.Spans.Start(t.sctx, "solve/ard")
 		net := rctree.NewNet(rt, t.tech, rctree.Assignment{})
 		r := ard.Compute(net, ard.Options{IncludeSelf: j.Options.IncludeSelf,
 			Trace: d.cfg.Tracer, TraceArgs: targs})
 		ps.End()
-		span.End()
 		res.ARD = &ARDResult{ARD: r.ARD, CritSrc: termName(t.tr, r.CritSrc), CritSink: termName(t.tr, r.CritSink)}
 	}
 
@@ -783,11 +777,9 @@ func (d *Daemon) exec(t *task) Result {
 		if j.pruner() == "naive" {
 			opt.Pruner = core.PruneNaive
 		}
-		span := d.reg.StartSpan("svc/job/optimize")
 		_, ps := d.cfg.Spans.Start(t.sctx, "solve/optimize")
 		out, deg, err := d.runOptimize(t, rt, opt)
 		ps.End()
-		span.End()
 		if err != nil {
 			if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
 				return d.failResult(t, ErrDeadlineExceeded, fmt.Sprintf("optimize: %v", err))
@@ -795,11 +787,11 @@ func (d *Daemon) exec(t *task) Result {
 			return d.failResult(t, ErrBadRequest, fmt.Sprintf("optimize: %v", err))
 		}
 		if t.profile {
-			// Convert on the worker, off the finishJob path; finishJob
+			// Convert on the worker, off the retire path; retire
 			// attaches it to the explain report. Under degradation the
 			// profile describes the run that produced the answer (the
 			// coarse retry), matching the stats it ships with.
-			t.prof = solveprof.FromResult(out, "msrnetd", t.jid)
+			t.prof = solveprof.FromResult(out, "msrnetd", t.JobID)
 		}
 		chosen, err := out.Suite.MinARD()
 		if err != nil {
@@ -814,7 +806,6 @@ func (d *Daemon) exec(t *task) Result {
 			}
 			chosen = sol
 		}
-		encSpan := d.reg.StartSpan("svc/job/encode")
 		_, es := d.cfg.Spans.Start(t.sctx, "solve/encode")
 		opt2 := &OptResult{
 			Chosen: suitePoint(chosen),
@@ -825,7 +816,6 @@ func (d *Daemon) exec(t *task) Result {
 			opt2.Suite = append(opt2.Suite, suitePoint(s))
 		}
 		es.End()
-		encSpan.End()
 		if deg != nil {
 			res.Degraded = true
 			res.DegradedReason = deg.reason

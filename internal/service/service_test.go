@@ -19,6 +19,7 @@ import (
 	"msrnet/internal/netgen"
 	"msrnet/internal/netio"
 	"msrnet/internal/obs"
+	"msrnet/internal/validate"
 )
 
 func quietLogger() *slog.Logger { return slog.New(slog.NewTextHandler(io.Discard, nil)) }
@@ -62,9 +63,9 @@ func TestQueueFullRejects(t *testing.T) {
 	started := make(chan string, 2)
 	release := make(chan struct{})
 	d.execHook = func(ctx context.Context, tk *task) Result {
-		started <- tk.label
+		started <- tk.Label
 		<-release
-		return Result{ID: tk.label, Status: StatusOK, NetKey: tk.netKey}
+		return Result{ID: tk.Label, Status: StatusOK, NetKey: tk.NetKey}
 	}
 
 	net := testNetFile(t, 1, 6)
@@ -115,7 +116,7 @@ func TestBatchAdmissionIsAtomic(t *testing.T) {
 	d.execHook = func(ctx context.Context, tk *task) Result {
 		started <- struct{}{}
 		<-release
-		return Result{ID: tk.label, Status: StatusOK}
+		return Result{ID: tk.Label, Status: StatusOK}
 	}
 	defer close(release)
 
@@ -147,7 +148,7 @@ func TestJobDeadlineExceeded(t *testing.T) {
 	d := newTestDaemon(t, Config{Workers: 1, JobTimeout: 30 * time.Millisecond, Reg: reg})
 	d.execHook = func(ctx context.Context, tk *task) Result {
 		<-ctx.Done() // simulate a computation that outlives its deadline
-		return Result{ID: tk.label, Status: StatusOK}
+		return Result{ID: tk.Label, Status: StatusOK}
 	}
 	resp, serr := d.Submit(context.Background(),
 		oneJobRequest(Job{ID: "slow", Mode: "msri", Net: testNetFile(t, 5, 6)}))
@@ -189,6 +190,26 @@ func TestMalformedNetStructured400(t *testing.T) {
 		t.Fatalf("error body %+v must carry code %q and the job id", eb, ErrBadRequest)
 	}
 
+	// Source/sink presence is netio.Check's call: the 400 carries its
+	// taxonomy cause.
+	for cause, strip := range map[string]func(*netio.NodeJSON){
+		validate.CodeNoSource: func(n *netio.NodeJSON) { n.IsSource = false },
+		validate.CodeNoSink:   func(n *netio.NodeJSON) { n.IsSink = false },
+	} {
+		net := testNetFile(t, 6, 6)
+		for i := range net.Nodes {
+			strip(&net.Nodes[i])
+		}
+		body, _ := json.Marshal(oneJobRequest(Job{ID: cause, Mode: "ard", Net: net}))
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/jobs", bytes.NewReader(body)))
+		var eb ErrorBody
+		json.Unmarshal(rec.Body.Bytes(), &eb)
+		if rec.Code != http.StatusBadRequest || eb.Code != ErrBadRequest || eb.Cause != cause {
+			t.Errorf("%s: status %d body %+v, want 400 %s with cause %s", cause, rec.Code, eb, ErrBadRequest, cause)
+		}
+	}
+
 	for name, raw := range map[string]string{
 		"bad version": `{"version":"msrnet-job/v0","jobs":[{"mode":"ard"}]}`,
 		"no jobs":     `{"version":"msrnet-job/v1","jobs":[]}`,
@@ -209,6 +230,43 @@ func TestMalformedNetStructured400(t *testing.T) {
 	}
 }
 
+// TestBatchDecodeFailureLeavesNoTrace: a batch whose job k>0 fails
+// decode is rejected before any of its jobs is accounted — even an
+// earlier job that would be a cache hit leaves no submitted or
+// completed count and no report in /debug/jobs.
+func TestBatchDecodeFailureLeavesNoTrace(t *testing.T) {
+	reg := obs.New()
+	d := newTestDaemon(t, Config{Workers: 1, CacheSize: 8, Reg: reg})
+	warm := Job{ID: "a", Mode: "ard", Net: testNetFile(t, 1, 6)}
+	if _, serr := d.Submit(context.Background(), oneJobRequest(warm)); serr != nil {
+		t.Fatal(serr)
+	}
+	submitted, completed := reg.Counter("svc/jobs_submitted").Value(), reg.Counter("svc/jobs_completed").Value()
+	tenantSubmitted := reg.Counter("svc/tenant/" + DefaultTenant + "/jobs_submitted").Value()
+	_, before := d.table.List()
+
+	bad := testNetFile(t, 2, 6)
+	bad.Nodes[0].Kind = "bogus"
+	_, serr := d.Submit(context.Background(), &Request{Version: SchemaVersion,
+		Jobs: []Job{warm, {ID: "b", Mode: "ard", Net: bad}}})
+	if serr == nil || serr.Status != http.StatusBadRequest || serr.Cause != validate.CodeBadKind {
+		t.Fatalf("batch with a malformed second net: %+v, want 400 with cause %s", serr, validate.CodeBadKind)
+	}
+	if got := reg.Counter("svc/jobs_submitted").Value(); got != submitted {
+		t.Errorf("jobs_submitted = %d, want %d", got, submitted)
+	}
+	if got := reg.Counter("svc/tenant/" + DefaultTenant + "/jobs_submitted").Value(); got != tenantSubmitted {
+		t.Errorf("tenant jobs_submitted = %d, want %d", got, tenantSubmitted)
+	}
+	if got := reg.Counter("svc/jobs_completed").Value(); got != completed {
+		t.Errorf("jobs_completed = %d, want %d", got, completed)
+	}
+	active, after := d.table.List()
+	if len(active) != 0 || !reflect.DeepEqual(after, before) {
+		t.Errorf("/debug/jobs changed by a rejected batch: active %+v, recent %+v (was %+v)", active, after, before)
+	}
+}
+
 // TestPanicIsolation: a panicking job yields a structured internal
 // error, increments svc/panics_recovered, and leaves the daemon fully
 // serviceable for the next job.
@@ -221,7 +279,7 @@ func TestPanicIsolation(t *testing.T) {
 			boom = false
 			panic("synthetic failure in job body")
 		}
-		return Result{ID: tk.label, Status: StatusOK, NetKey: tk.netKey}
+		return Result{ID: tk.Label, Status: StatusOK, NetKey: tk.NetKey}
 	}
 
 	net := testNetFile(t, 7, 6)

@@ -83,7 +83,7 @@ func TestFleetStitchedTraceAcrossForward(t *testing.T) {
 	f.ds[0].execHook = func(ctx context.Context, tk *task) Result {
 		started <- struct{}{}
 		<-release
-		return Result{ID: tk.label, Status: StatusOK, NetKey: tk.netKey}
+		return Result{ID: tk.Label, Status: StatusOK, NetKey: tk.NetKey}
 	}
 	var wg sync.WaitGroup
 	wg.Add(2)
@@ -267,7 +267,7 @@ func TestReplaySpansJoinOriginalTrace(t *testing.T) {
 	gate := make(chan struct{})
 	d.execHook = func(ctx context.Context, tk *task) Result {
 		<-gate
-		return Result{ID: tk.label, Status: StatusOK, NetKey: tk.netKey}
+		return Result{ID: tk.Label, Status: StatusOK, NetKey: tk.NetKey}
 	}
 
 	go func() {
@@ -288,7 +288,7 @@ func TestReplaySpansJoinOriginalTrace(t *testing.T) {
 	}
 	d2 := newTestDaemon(t, Config{Workers: 1, QueueDepth: 4, Reg: reg2, Store: store2, Spans: idx2})
 	d2.execHook = func(ctx context.Context, tk *task) Result {
-		return Result{ID: tk.label, Status: StatusOK, NetKey: tk.netKey}
+		return Result{ID: tk.Label, Status: StatusOK, NetKey: tk.NetKey}
 	}
 	if requeued, _ := d2.Recover(rep2); requeued != 1 {
 		t.Fatalf("requeued %d jobs, want 1", requeued)

@@ -33,11 +33,11 @@ func (d *Daemon) walAccept(ctx context.Context, pending []*task) error {
 	for i, t := range pending {
 		job, err := json.Marshal(t.job)
 		if err != nil {
-			return fmt.Errorf("encode job %s: %w", t.label, err)
+			return fmt.Errorf("encode job %s: %w", t.Label, err)
 		}
 		recs[i] = &jobstore.Record{
-			Type: jobstore.TypeAccepted, Tenant: t.tn.cfg.Name, Label: t.label,
-			TraceID: t.traceID, Key: t.key, NetKey: t.netKey, Job: job,
+			Type: jobstore.TypeAccepted, Tenant: t.Tenant, Label: t.Label,
+			TraceID: t.TraceID, Key: t.key, NetKey: t.NetKey, Job: job,
 		}
 	}
 	if err := d.cfg.Store.Append(ctx, recs...); err != nil {
@@ -68,7 +68,7 @@ func (d *Daemon) walResult(t *task) {
 	stored.Explain = nil
 	body, err := json.Marshal(stored)
 	if err != nil {
-		d.log.Warn("wal: encode result failed", "job", t.jid, "uid", t.walUID, "err", err)
+		d.log.Warn("wal: encode result failed", "job", t.JobID, "uid", t.walUID, "err", err)
 		return
 	}
 	rec := &jobstore.Record{Type: jobstore.TypeResult, UID: t.walUID,
@@ -77,7 +77,7 @@ func (d *Daemon) walResult(t *task) {
 	// append must still land — but keep the context's identities (trace
 	// ID, span parent) so the append's spans join the job's trace.
 	if err := d.cfg.Store.Append(context.WithoutCancel(t.ctx), rec); err != nil {
-		d.log.Warn("wal: result append failed; job will replay as pending", "job", t.jid, "uid", t.walUID, "err", err)
+		d.log.Warn("wal: result append failed; job will replay as pending", "job", t.JobID, "uid", t.walUID, "err", err)
 	}
 }
 
@@ -229,7 +229,7 @@ func (d *Daemon) Recover(rep *jobstore.Replay) (requeued, restored int) {
 			restored++
 			continue
 		}
-		t, err := d.replayTask(e, tn)
+		job, net, err := replayedJob(e)
 		if err != nil {
 			// The job was validated at original admission, so this means
 			// the WAL entry itself is damaged — surface it as a terminal
@@ -241,9 +241,21 @@ func (d *Daemon) Recover(rep *jobstore.Replay) (requeued, restored int) {
 					Error: fmt.Sprintf("replayed job undecodable: %v", err)}})
 			continue
 		}
+		ctx := context.Background()
+		if e.TraceID != "" {
+			ctx = reqctx.WithTraceID(ctx, e.TraceID)
+		}
+		// Replayed work re-enters the ORIGINAL trace: the replay root span
+		// records under the trace ID persisted at admission, so a collector
+		// stitching that trace sees the pre-crash spans (if any survived)
+		// and the post-crash replay in one tree.
+		ctx, rspan := d.cfg.Spans.Start(ctx, "replay")
+		rspan.Set("wal_uid", e.UID)
+		t := d.newTask(ctx, job, e.Label, net, tn)
+		t.walUID, t.rspan, t.Replayed = e.UID, rspan, true
 		d.rec.add(&RecoveredJob{UID: e.UID, Tenant: e.Tenant, Label: e.Label,
 			TraceID: e.TraceID, NetKey: e.NetKey, State: "pending", Resolved: e.Degraded})
-		d.table.start(t.explain)
+		d.table.start(t.Explain)
 		// Nobody waits on a replayed task's done channel from a request
 		// handler; route the completion into the recovered table.
 		go func(uid string, t *task) {
@@ -263,38 +275,18 @@ func (d *Daemon) Recover(rep *jobstore.Replay) (requeued, restored int) {
 	return requeued, restored
 }
 
-// replayTask rebuilds a runnable task from a WAL entry, mirroring what
-// Submit does for a fresh job.
-func (d *Daemon) replayTask(e *jobstore.Entry, tn *tenantState) (*task, error) {
+// replayedJob decodes a WAL entry's job and net. The net key is the
+// one stored at admission.
+func replayedJob(e *jobstore.Entry) (*Job, decodedNet, error) {
 	var job Job
 	if err := json.Unmarshal(e.Job, &job); err != nil {
-		return nil, fmt.Errorf("decode job: %w", err)
+		return nil, decodedNet{}, fmt.Errorf("decode job: %w", err)
 	}
 	tr, tech, err := netio.Decode(job.Net)
 	if err != nil {
-		return nil, fmt.Errorf("decode net: %w", err)
+		return nil, decodedNet{}, fmt.Errorf("decode net: %w", err)
 	}
-	seq := d.seq.Add(1)
-	jid := fmt.Sprintf("j%d", seq)
-	t := &task{job: &job, label: e.Label, netKey: e.NetKey, key: e.Key, tr: tr, tech: tech,
-		traceID: e.TraceID, jid: jid, seq: seq, tn: tn, walUID: e.UID, replayed: true,
-		done: make(chan struct{})}
-	t.explain = &Explain{Schema: ExplainSchema, JobID: jid, Seq: seq, Label: e.Label,
-		TraceID: e.TraceID, NetKey: e.NetKey, Mode: job.Mode, State: JobQueued,
-		Tenant: tn.cfg.Name, Replayed: true}
-	ctx := reqctx.WithJobID(context.Background(), jid)
-	if e.TraceID != "" {
-		ctx = reqctx.WithTraceID(ctx, e.TraceID)
-	}
-	// Replayed work re-enters the ORIGINAL trace: the replay root span
-	// records under the trace ID persisted at admission, so a collector
-	// stitching that trace sees the pre-crash spans (if any survived)
-	// and the post-crash replay in one tree.
-	ctx, rspan := d.cfg.Spans.Start(ctx, "replay")
-	rspan.Set("wal_uid", e.UID)
-	t.rspan = rspan
-	t.ctx, t.cancel = d.jobContext(ctx)
-	return t, nil
+	return &job, decodedNet{netKey: e.NetKey, tr: tr, tech: tech}, nil
 }
 
 // handleRecovered serves GET /v1/recovered: the tenant's WAL-replayed

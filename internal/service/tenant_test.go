@@ -96,7 +96,7 @@ func TestTenantQueueQuota(t *testing.T) {
 	d.execHook = func(ctx context.Context, tk *task) Result {
 		started <- struct{}{}
 		<-release
-		return Result{ID: tk.label, Status: StatusOK}
+		return Result{ID: tk.Label, Status: StatusOK}
 	}
 
 	submit := func(key, id string, seed int64) *SubmitError {
@@ -159,7 +159,7 @@ func TestTenantRateQuota(t *testing.T) {
 		{Name: "metered", APIKey: "km", Weight: 1, NetsPerSec: 1},
 	}})
 	d.execHook = func(ctx context.Context, tk *task) Result {
-		return Result{ID: tk.label, Status: StatusOK}
+		return Result{ID: tk.Label, Status: StatusOK}
 	}
 	ctx := WithAPIKey(context.Background(), "km")
 	batch := &Request{Version: SchemaVersion, Jobs: []Job{
@@ -195,7 +195,7 @@ func TestFairShareDispatch(t *testing.T) {
 	var mu sync.Mutex
 	var order []string
 	d.execHook = func(ctx context.Context, tk *task) Result {
-		if tk.label == "gate" {
+		if tk.Label == "gate" {
 			started <- struct{}{}
 			<-gate
 		} else {
@@ -203,7 +203,7 @@ func TestFairShareDispatch(t *testing.T) {
 			order = append(order, tk.tn.cfg.Name)
 			mu.Unlock()
 		}
-		return Result{ID: tk.label, Status: StatusOK}
+		return Result{ID: tk.Label, Status: StatusOK}
 	}
 
 	var wg sync.WaitGroup
@@ -258,7 +258,7 @@ func TestFairShareDispatch(t *testing.T) {
 func TestDefaultTenantBackCompat(t *testing.T) {
 	d := newTestDaemon(t, Config{Workers: 1, QueueDepth: 4})
 	d.execHook = func(ctx context.Context, tk *task) Result {
-		return Result{ID: tk.label, Status: StatusOK}
+		return Result{ID: tk.Label, Status: StatusOK}
 	}
 	resp, serr := d.Submit(context.Background(),
 		oneJobRequest(Job{ID: "j", Mode: "ard", Net: testNetFile(t, 91, 6)}))
